@@ -1,5 +1,5 @@
 // Reproduces Table 2 of the paper: depth-first vs breadth-first vs hybrid
-// checking of the trace of every suite instance, and emits the numbers as
+// (window replay over one unbounded window) checking of the trace of every suite instance, and emits the numbers as
 // JSON so regressions of the checker hot path are visible in review.
 //
 // Paper columns: Instance Name | Trace Size (KB) | Depth First {Num. Cls
@@ -50,7 +50,6 @@
 #include "src/cert/lrat_emitter.hpp"
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
-#include "src/checker/hybrid.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/suite.hpp"
 #include "src/obs/trace.hpp"
@@ -254,9 +253,12 @@ int main(int argc, char** argv) {
                             return checker::check_breadth_first(inst.formula,
                                                                 r);
                           });
+    checker::WindowOptions hopts;
+    hopts.mem_limit_bytes = 0;
     row.hybrid = time_backend(path, "hybrid", inst.name,
                               [&](trace::TraceReader& r) {
-                                return checker::check_hybrid(inst.formula, r);
+                                return checker::check_window(inst.formula, r,
+                                                             hopts);
                               });
     checker::WindowOptions wopts;
     wopts.mem_limit_bytes = kWindowBenchBudget;
@@ -286,7 +288,7 @@ int main(int argc, char** argv) {
         return checker::check_breadth_first(inst.formula, r);
       });
       row.hybrid.rss_bytes = measure([&](trace::TraceReader& r) {
-        return checker::check_hybrid(inst.formula, r);
+        return checker::check_window(inst.formula, r, hopts);
       });
       row.window.rss_bytes = measure([&](trace::TraceReader& r) {
         return checker::check_window(inst.formula, r, wopts);
@@ -342,7 +344,8 @@ int main(int argc, char** argv) {
       << "(paper: check time << solve time; DF faster but memory-hungry;\n"
       << " BF bounded memory; DF builds only 19-90% of learned clauses.\n"
       << " HY columns: the hybrid checker the paper's conclusion calls for —\n"
-      << " builds only the DF subgraph inside a BF-style clause window.\n"
+      << " window replay over one unbounded window: builds only the DF\n"
+      << " subgraph inside a BF-style clause window.\n"
       << " WN columns: the window-shifting checker replaying under a "
       << (kWindowBenchBudget >> 20) << " MB\n"
       << " --mem-limit budget)\n\n"

@@ -37,8 +37,7 @@ struct CheckStats {
   std::uint64_t core_original_clauses = 0;
   /// Clause-arena traffic: cumulative bytes handed out, cumulative bytes
   /// served from free lists instead of fresh space, and the high-water
-  /// mark of live clause bytes. Deterministic for a given trace regardless
-  /// of backend parallelism (the parallel checker sums its shards).
+  /// mark of live clause bytes. Deterministic for a given trace.
   std::size_t arena_allocated_bytes = 0;
   std::size_t arena_recycled_bytes = 0;
   std::size_t arena_peak_bytes = 0;
@@ -153,15 +152,15 @@ class ClauseStore {
 
 /// Accounted footprint of one loaded derivation record: the source IDs in
 /// the pool (stored narrowed to 32 bits — see DerivationIndex) plus the
-/// per-record index entry. Shared by the depth-first and parallel checkers
-/// so the two report identical peak memory for the same trace.
+/// per-record index entry. Shared by the depth-first and window checkers
+/// (the latter sizes its windows by it).
 [[nodiscard]] inline std::size_t derivation_record_bytes(
     std::size_t num_sources) {
   return num_sources * sizeof(std::uint32_t) + 8;
 }
 
-/// The derivation DAG of a trace for whole-trace checkers (depth-first,
-/// parallel): source lists packed into one pool, indexed by a flat
+/// The derivation DAG of a trace for the whole-trace depth-first checker:
+/// source lists packed into one pool, indexed by a flat
 /// ordinal-indexed table (ordinal = id - num_original). Records validate
 /// on insertion with the same diagnostics the checkers have always
 /// produced.
@@ -218,7 +217,7 @@ class DerivationIndex {
 };
 
 /// Single-pass trace load for checkers that keep the whole DAG in memory
-/// (depth-first, parallel): fills `derivations` and `level0`, accounts the
+/// (depth-first): fills `derivations` and `level0`, accounts the
 /// loaded bytes in `mem`, counts derivations in `stats`, and returns the
 /// final conflict ID (nullopt when the trace has none). Throws
 /// CheckFailure on any structural violation, including a missing end
@@ -316,7 +315,8 @@ using ClauseFetcher = std::function<ClauseView(ClauseId)>;
 ///    every source of a derivation has been announced (as an original ID or
 ///    an earlier on_derived) before the derivation that consumes it.
 ///  - on_released() fires when a derived clause provably has no remaining
-///    uses (hybrid use-count exhaustion); it never precedes a later fetch.
+///    uses (window use-count exhaustion); it never precedes a later fetch,
+///    nor the on_derived() of the chain whose decrements triggered it.
 ///  - on_final() fires once, after the empty-clause (or assumption-clause)
 ///    derivation succeeds, with the antecedents in the order they were
 ///    resolved against the final conflicting clause.

@@ -19,7 +19,8 @@ class WindowChecker {
         options_(options),
         level0_(reader.num_vars()),
         counts_(make_use_count_store(options.use_counts)),
-        store_(options.recycle_arena) {}
+        store_(options.recycle_arena),
+        observer_(options.observer) {}
 
   CheckResult run() {
     CheckResult result;
@@ -59,6 +60,9 @@ class WindowChecker {
         remaining = derive_final_clause(*final_id_, fetch, level0_, stats_,
                                         &used_antecedents);
         final_resolutions = stats_.resolutions - before;
+        if (observer_ != nullptr && remaining.empty()) {
+          observer_->on_final(*final_id_, used_antecedents);
+        }
       }
       if (!remaining.empty()) {
         validate_assumption_clause(remaining, level0_);
@@ -89,8 +93,7 @@ class WindowChecker {
       result.error = std::string("trace error: ") + e.what();
     }
     // The resident index only grows and the clause frontier lives entirely
-    // in the arena, so the two peaks compose additively (as in the hybrid
-    // checker).
+    // in the arena, so the two peaks compose additively.
     const util::ClauseArena& arena = store_.arena();
     stats_.peak_mem_bytes = mem_.peak_bytes() + arena.peak_bytes();
     stats_.arena_allocated_bytes = arena.allocated_bytes();
@@ -150,10 +153,11 @@ class WindowChecker {
         std::to_string(window_budget_) + " bytes; increase --mem-limit");
   }
 
-  /// Pass A: one streaming read validating trace structure (the same
-  /// checks as the hybrid checker's pass 1), keeping only the derivation
-  /// IDs resident and recording window boundaries so that each window's
-  /// source lists fit the window budget.
+  /// Pass A: one streaming read validating trace structure, keeping only
+  /// the derivation IDs resident and recording window boundaries so that
+  /// each window's source lists fit the window budget. While the trace is
+  /// still one window its source lists are kept in the window CSR, so a
+  /// single-window trace (always, at budget 0) is read exactly once.
   void scan_and_partition() {
     reader_->rewind();
     seekable_ = reader_->seekable();
@@ -201,9 +205,18 @@ class WindowChecker {
               cur_window_bytes + cost > window_budget_) {
             windows_.push_back({pos, record_index, ids_.size(), 0});
             cur_window_bytes = 0;
+            clear_window();
           }
           cur_window_bytes += cost;
           ++windows_.back().count;
+          if (windows_.size() == 1) {
+            if (win_pool_.size() + rec.sources.size() >
+                std::numeric_limits<std::uint32_t>::max()) {
+              throw CheckFailure(
+                  "trace too large: window source pool exceeds 2^32");
+            }
+            push_window_sources(rec.sources);
+          }
           if (dense_ids_ && !ids_.empty() &&
               rec.id != static_cast<ClauseId>(ids_.back()) + 1) {
             dense_ids_ = false;
@@ -236,6 +249,10 @@ class WindowChecker {
     end_pos_ = seekable_ ? reader_->tell() : record_index;
     mem_.add(ids_.size() * sizeof(std::uint32_t) +
              windows_.size() * sizeof(Window));
+    if (windows_.size() == 1) {
+      account_window();
+      loaded_ = 0;
+    }
   }
 
   /// Pass B: backward sweep over the windows settling reachability and use
@@ -278,13 +295,15 @@ class WindowChecker {
 
     // The resident index is now complete; a budget it already exceeds
     // (plus one window) can never be honored — fail before doing the
-    // expensive passes, with the shortfall spelled out.
+    // expensive passes, with the shortfall spelled out. A window pass A
+    // left loaded is that one window, not part of the index.
+    const std::size_t index_bytes = mem_.current_bytes() - win_bytes_;
     if (options_.mem_limit_bytes != 0 &&
-        mem_.current_bytes() + window_budget_ > options_.mem_limit_bytes) {
+        index_bytes + window_budget_ > options_.mem_limit_bytes) {
       throw CheckFailure(
           "mem limit " + std::to_string(options_.mem_limit_bytes) +
           " bytes is too small for this trace: the resident index needs " +
-          std::to_string(mem_.current_bytes()) + " bytes plus a " +
+          std::to_string(index_bytes) + " bytes plus a " +
           std::to_string(window_budget_) +
           "-byte shifting window; increase --mem-limit");
     }
@@ -318,57 +337,61 @@ class WindowChecker {
     }
   }
 
-  /// Pass C: forward streaming replay. Re-reads the trace in order,
-  /// folding each reachable derivation against the frontier and releasing
-  /// clauses (and shifted-past trace pages) as soon as their reachable
-  /// uses are exhausted.
+  /// Pass C: forward replay, window by window. Pass B leaves window 0
+  /// loaded and each later window is read sequentially after it (a
+  /// single window is never re-read), folding
+  /// each reachable derivation against the frontier and releasing clauses
+  /// (and shifted-past trace pages) as soon as their reachable uses are
+  /// exhausted.
   void replay_windows() {
-    reader_->rewind();
-    trace::Record rec;
-    std::size_t idx = 0;
-    std::size_t widx = 0;
-    while (reader_->next(rec)) {
-      if (rec.kind == trace::RecordKind::End) break;
-      if (rec.kind != trace::RecordKind::Derivation) continue;
-      const std::size_t i = idx++;
-      if (widx + 1 < windows_.size() &&
-          i == windows_[widx + 1].first) {
-        reader_->release_hint(windows_[widx].pos, windows_[widx + 1].pos);
-        ++widx;
-      }
-      if (!reachable_[i]) continue;
-      chain_.start(fetch_clause(rec.sources[0]));
-      for (std::size_t k = 1; k < rec.sources.size(); ++k) {
-        const ResolveResult r = chain_.step(fetch_clause(rec.sources[k]));
-        ++stats_.resolutions;
-        if (r.status != ResolveStatus::Ok) {
-          throw CheckFailure(
-              "derivation of clause " + std::to_string(rec.id) +
-              ": resolving with source " + std::to_string(rec.sources[k]) +
-              " (step " + std::to_string(k) + ") failed: " +
-              (r.status == ResolveStatus::NoClash
-                   ? "no clashing variable"
-                   : "more than one clashing variable"));
+    for (std::size_t w = 0; w < windows_.size(); ++w) {
+      load_window(w);
+      const Window& win = windows_[w];
+      for (std::uint32_t i = 0; i < win.count; ++i) {
+        if (reachable_[win.first + i]) {
+          replay_derivation(ids_[win.first + i], window_sources(i));
         }
       }
-      ++stats_.clauses_built;
-      // One batched decrement per chain, exactly as in the hybrid replay,
-      // so release order — and hence free-list state and recycled-bytes —
-      // matches it for the same reachable set.
-      ord_scratch_.clear();
-      for (const ClauseId s : rec.sources) {
-        if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
-      }
-      exhausted_scratch_.clear();
-      counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
-      for (const std::uint64_t ord : exhausted_scratch_) {
-        const ClauseId victim = static_cast<ClauseId>(ord) + num_original();
-        if (store_.contains(victim)) store_.release(victim);
-      }
-      if (counts_->get(ordinal(rec.id)) > 0) {
-        store_.put(rec.id, chain_.lits());
+      release_window(w);
+    }
+  }
+
+  void replay_derivation(ClauseId id, std::span<const std::uint32_t> sources) {
+    chain_.start(fetch_clause(sources[0]));
+    for (std::size_t k = 1; k < sources.size(); ++k) {
+      const ResolveResult r = chain_.step(fetch_clause(sources[k]));
+      ++stats_.resolutions;
+      if (r.status != ResolveStatus::Ok) {
+        throw CheckFailure(
+            "derivation of clause " + std::to_string(id) +
+            ": resolving with source " + std::to_string(sources[k]) +
+            " (step " + std::to_string(k) + ") failed: " +
+            (r.status == ResolveStatus::NoClash
+                 ? "no clashing variable"
+                 : "more than one clashing variable"));
       }
     }
+    ++stats_.clauses_built;
+    // Announced before the decrements below so a certificate's deletion
+    // records always trail the addition whose hints they retire.
+    if (observer_ != nullptr) observer_->on_derived(id, chain_.lits(), sources);
+    // One batched decrement per chain; exhausted ordinals come back in
+    // decrement order, so release order — and hence the free-list state
+    // and recycled-bytes counter — matches the per-antecedent loop.
+    ord_scratch_.clear();
+    for (const std::uint32_t s : sources) {
+      if (s >= num_original()) ord_scratch_.push_back(ordinal(s));
+    }
+    exhausted_scratch_.clear();
+    counts_->decrement_batch(ord_scratch_, exhausted_scratch_);
+    for (const std::uint64_t ord : exhausted_scratch_) {
+      const ClauseId victim = static_cast<ClauseId>(ord) + num_original();
+      if (store_.contains(victim)) {
+        store_.release(victim);
+        if (observer_ != nullptr) observer_->on_released(victim);
+      }
+    }
+    if (counts_->get(ordinal(id)) > 0) store_.put(id, chain_.lits());
   }
 
   /// The final derivation may use fewer antecedents than were pinned, in
@@ -415,36 +438,56 @@ class WindowChecker {
     stats_.resolutions = resolutions;
   }
 
-  /// Seeks to window `w` and loads its derivations' source lists into the
-  /// (reused) window CSR. Non-seekable readers rewind and skip — a
-  /// correctness fallback for tests; file-backed traces seek directly.
+  /// Loads window `w`'s derivation source lists into the (reused) window
+  /// CSR. A no-op when `w` is already loaded; reads on without seeking
+  /// when the reader sits just past window w-1. Otherwise seeks, or for
+  /// non-seekable readers rewinds and skips — a correctness fallback for
+  /// tests; file-backed traces seek directly.
   void load_window(std::size_t w) {
+    if (w == loaded_) return;
     const Window& win = windows_[w];
-    if (seekable_) {
-      reader_->seek(win.pos);
-    } else {
-      reader_->rewind();
-      trace::Record skip;
-      for (std::uint64_t i = 0; i < win.record_index; ++i) {
-        if (!reader_->next(skip)) break;
+    if (w != next_in_stream_) {
+      if (seekable_) {
+        reader_->seek(win.pos);
+      } else {
+        reader_->rewind();
+        trace::Record skip;
+        for (std::uint64_t i = 0; i < win.record_index; ++i) {
+          if (!reader_->next(skip)) break;
+        }
       }
     }
-    win_offset_.clear();
-    win_pool_.clear();
-    win_offset_.push_back(0);
+    clear_window();
     std::uint32_t seen = 0;
     trace::Record rec;
     while (seen < win.count && reader_->next(rec)) {
       if (rec.kind != trace::RecordKind::Derivation) continue;
-      for (const ClauseId s : rec.sources) {
-        win_pool_.push_back(static_cast<std::uint32_t>(s));
-      }
-      win_offset_.push_back(static_cast<std::uint32_t>(win_pool_.size()));
+      push_window_sources(rec.sources);
       ++seen;
     }
     if (seen < win.count) {
       throw CheckFailure("trace shrank between checking passes");
     }
+    account_window();
+    loaded_ = w;
+    next_in_stream_ = w + 1;
+  }
+
+  void clear_window() {
+    win_offset_.clear();
+    win_pool_.clear();
+    win_offset_.push_back(0);
+  }
+
+  void push_window_sources(std::span<const ClauseId> sources) {
+    for (const ClauseId s : sources) {
+      win_pool_.push_back(static_cast<std::uint32_t>(s));
+    }
+    win_offset_.push_back(static_cast<std::uint32_t>(win_pool_.size()));
+  }
+
+  /// Charges the loaded window CSR to the memory tracker.
+  void account_window() {
     mem_.remove(win_bytes_);
     win_bytes_ = (win_pool_.size() + win_offset_.size()) *
                  sizeof(std::uint32_t);
@@ -518,10 +561,15 @@ class WindowChecker {
   std::uint64_t end_pos_ = 0;
   std::size_t window_budget_ = 0;
 
-  // One window's source lists (reused CSR buffers).
+  // One window's source lists (reused CSR buffers). `loaded_` is the
+  // window they hold; `next_in_stream_` the window whose first derivation
+  // the reader reaches next without seeking (none after pass A's scan).
+  static constexpr std::size_t kNone = ~std::size_t{0};
   std::vector<std::uint32_t> win_offset_;
   std::vector<std::uint32_t> win_pool_;
   std::size_t win_bytes_ = 0;
+  std::size_t loaded_ = kNone;
+  std::size_t next_in_stream_ = kNone;
 
   std::vector<ClauseId> implied_ants_;  ///< sorted unique pinned antecedents
   std::vector<std::uint8_t> core_seen_;  ///< per-original core membership
@@ -534,6 +582,7 @@ class WindowChecker {
   ChainResolver chain_;
   util::MemTracker mem_;
   CheckStats stats_;
+  CertObserver* observer_ = nullptr;
 };
 
 }  // namespace

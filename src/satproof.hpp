@@ -11,7 +11,7 @@
 ///   solver    CDCL search with resolution-trace generation + assumptions
 ///   simplify  traceable preprocessing (subsume / strengthen / eliminate)
 ///   trace     the trace formats (memory / ASCII / binary) + fault injection
-///   checker   the independent checkers (depth-first / breadth-first / hybrid)
+///   checker   the independent checkers (depth-first / breadth-first / window)
 ///   proof     proof DAGs: metrics, export, trimming, RUP, interpolation
 ///   core      unsatisfiable cores: extract, iterate, minimize
 ///   circuit   netlists, word ops, Tseitin, miters, rewriting, sorting nets
@@ -27,9 +27,9 @@
 #include "src/checker/common.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/checker/use_count.hpp"
+#include "src/checker/window.hpp"
 #include "src/circuit/miter.hpp"
 #include "src/circuit/netlist.hpp"
 #include "src/circuit/rewrite.hpp"

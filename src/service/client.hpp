@@ -42,10 +42,11 @@ class Client {
   };
 
   /// Submits one job. With `wait`, blocks until the server delivers the
-  /// result frame. With `certify` (requires `wait`, df/hybrid backends),
+  /// result frame. With `certify` (requires `wait`, df/window backends),
   /// asks for an LRAT certificate and reads the RESULT_CERT frame that
-  /// follows an ok result. Transport errors come back in the reply (never
-  /// thrown).
+  /// follows an ok result. `jobs` is legacy: it fills the header's
+  /// reserved field, which the server ignores. Transport errors come back
+  /// in the reply (never thrown).
   SubmitReply submit(const std::string& cnf_path,
                      const std::string& trace_path, Backend backend,
                      bool wait, unsigned jobs = 0,

@@ -21,7 +21,6 @@ namespace satproof::service {
 struct JobRequest {
   std::uint64_t id = 0;
   Backend backend = Backend::kDf;
-  unsigned jobs = 0;             ///< parallel-backend worker count
   std::uint32_t timeout_ms = 0;  ///< wall-clock budget from enqueue; 0 = none
   bool certify = false;  ///< emit an LRAT certificate (kSubmitFlagCertify)
   util::TempFile cnf_file;

@@ -9,6 +9,16 @@
 
 namespace satproof::service {
 
+namespace {
+
+/// Wire ids that name a backend in their own right: 2 is an alias of
+/// window and 3 is retired, so neither gets a metrics row.
+bool reported_backend(std::uint8_t id) {
+  return backend_from_wire(id) == static_cast<Backend>(id);
+}
+
+}  // namespace
+
 void LatencyHistogram::record(double seconds) {
   const double us = std::max(seconds, 0.0) * 1e6;
   std::size_t bucket = 0;
@@ -164,6 +174,7 @@ std::string Metrics::to_json(
   w.key("backends");
   w.begin_object();
   for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+    if (!reported_backend(b)) continue;
     const auto& bc = backends_[b];
     w.key(backend_name(static_cast<Backend>(b)));
     w.begin_object();
@@ -339,6 +350,7 @@ std::string Metrics::to_prometheus(
     prom_header(out, "satproofd_backend_jobs_completed_total",
                 "Jobs completed, by checker backend.", "counter");
     for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+      if (!reported_backend(b)) continue;
       prom_labeled(out, "satproofd_backend_jobs_completed_total",
                    backend_name(static_cast<Backend>(b)),
                    static_cast<double>(backends_[b].completed));
@@ -346,6 +358,7 @@ std::string Metrics::to_prometheus(
     prom_header(out, "satproofd_backend_jobs_failed_total",
                 "Jobs with a non-ok verdict, by checker backend.", "counter");
     for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+      if (!reported_backend(b)) continue;
       prom_labeled(out, "satproofd_backend_jobs_failed_total",
                    backend_name(static_cast<Backend>(b)),
                    static_cast<double>(backends_[b].failed));
@@ -353,6 +366,7 @@ std::string Metrics::to_prometheus(
     prom_header(out, "satproofd_backend_jobs_timed_out_total",
                 "Jobs timed out, by checker backend.", "counter");
     for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+      if (!reported_backend(b)) continue;
       prom_labeled(out, "satproofd_backend_jobs_timed_out_total",
                    backend_name(static_cast<Backend>(b)),
                    static_cast<double>(backends_[b].timed_out));
@@ -361,6 +375,7 @@ std::string Metrics::to_prometheus(
                 "Estimated p99 job latency in milliseconds, by backend.",
                 "gauge");
     for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+      if (!reported_backend(b)) continue;
       prom_labeled(out, "satproofd_backend_latency_p99_ms",
                    backend_name(static_cast<Backend>(b)),
                    backends_[b].latency.percentile_ms(99));

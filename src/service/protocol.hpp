@@ -88,7 +88,9 @@ struct SubmitHeader {
   std::uint8_t backend = 0;      ///< service::Backend
   std::uint8_t flags = 0;        ///< kSubmitFlagWait
   std::uint32_t timeout_ms = 0;  ///< wall-clock budget; 0 = server default
-  std::uint32_t jobs = 0;        ///< parallel-backend workers; 0 = default
+  /// Reserved (the retired parallel backend's worker count); encoded and
+  /// decoded for wire compatibility, ignored by the server.
+  std::uint32_t jobs = 0;
   /// Total upload size (CNF + trace bytes) the client intends to stream;
   /// 0 = unknown. The server picks the job's priority lane from it — an
   /// honest multi-MB declaration queues behind nothing but other bulk
@@ -98,7 +100,7 @@ struct SubmitHeader {
 };
 
 inline constexpr std::uint8_t kSubmitFlagWait = 0x01;
-/// Request an LRAT certificate of the replay (df/hybrid backends only;
+/// Request an LRAT certificate of the replay (df/window backends only;
 /// requires kSubmitFlagWait — the certificate arrives as a kResultCert
 /// frame after the kResult). Unknown to pre-certification servers' flag
 /// validation era: the bit is simply ignored by legacy peers.

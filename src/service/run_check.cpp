@@ -7,8 +7,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/metrics.hpp"
@@ -23,7 +21,6 @@ std::optional<Backend> backend_from_name(std::string_view name) {
   if (name == "df") return Backend::kDf;
   if (name == "bf") return Backend::kBf;
   if (name == "hybrid") return Backend::kHybrid;
-  if (name == "parallel") return Backend::kParallel;
   if (name == "drup") return Backend::kDrup;
   if (name == "window") return Backend::kWindow;
   return std::nullopt;
@@ -34,7 +31,6 @@ const char* backend_name(Backend b) {
     case Backend::kDf: return "df";
     case Backend::kBf: return "bf";
     case Backend::kHybrid: return "hybrid";
-    case Backend::kParallel: return "parallel";
     case Backend::kDrup: return "drup";
     case Backend::kWindow: return "window";
   }
@@ -47,8 +43,18 @@ Backend select_backend_for_budget(std::uint64_t trace_bytes,
   // Division, not multiplication: declared trace sizes can be large
   // enough that 6x would overflow before the compare.
   if (trace_bytes <= mem_limit_bytes / 6) return Backend::kDf;
-  if (trace_bytes <= mem_limit_bytes / 3) return Backend::kHybrid;
   return Backend::kWindow;
+}
+
+std::optional<Backend> backend_from_wire(std::uint8_t id) {
+  switch (id) {
+    case 0: return Backend::kDf;
+    case 1: return Backend::kBf;
+    case 2: return Backend::kWindow;
+    case 4: return Backend::kDrup;
+    case 5: return Backend::kWindow;
+    default: return std::nullopt;
+  }
 }
 
 std::string verdict_line(const JobOutcome& o) {
@@ -187,33 +193,33 @@ void bump_global_counters(const JobOutcome& out) {
 }  // namespace
 
 JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
-                     Backend backend, unsigned jobs,
+                     Backend backend, unsigned /*jobs*/,
                      util::ClauseArena* recycle_arena,
                      const CertOptions& cert, std::size_t mem_limit_bytes) {
   obs::Span check_span("check");
   if (recycle_arena != nullptr) recycle_arena->reset();
   JobOutcome out;
+  // 0 means "no cap was set": an explicit window request keeps the
+  // WindowOptions default budget, while hybrid names one unbounded window.
+  std::size_t window_budget = mem_limit_bytes != 0
+                                  ? mem_limit_bytes
+                                  : checker::WindowOptions{}.mem_limit_bytes;
+  if (backend == Backend::kHybrid) {
+    backend = Backend::kWindow;
+    window_budget = mem_limit_bytes;
+  }
+  // Per-job memory cap: a df request whose estimated peak exceeds the
+  // budget runs under the window backend instead.
+  if (mem_limit_bytes != 0 && backend == Backend::kDf) {
+    backend = select_backend_for_budget(trace_file_bytes(trace_path),
+                                        mem_limit_bytes);
+  }
   out.backend = backend;
   const bool certify = cert.sink != nullptr;
-  if (certify && backend != Backend::kDf && backend != Backend::kHybrid) {
-    out.error = "certificate emission requires the df or hybrid backend";
+  if (certify && backend != Backend::kDf && backend != Backend::kWindow) {
+    out.error = "certificate emission requires the df or window backend";
     bump_global_counters(out);
     return out;
-  }
-  // Per-job memory cap: a df/hybrid request whose estimated peak exceeds
-  // the budget runs under the cheapest backend that fits instead.
-  // Certifying runs are exempt (emission requires df/hybrid), and a
-  // budget-picked backend is never *upgraded* — hybrid stays hybrid even
-  // when df would fit.
-  if (mem_limit_bytes != 0 && !certify &&
-      (backend == Backend::kDf || backend == Backend::kHybrid)) {
-    const Backend fits = select_backend_for_budget(
-        trace_file_bytes(trace_path), mem_limit_bytes);
-    if (fits == Backend::kWindow ||
-        (fits == Backend::kHybrid && backend == Backend::kDf)) {
-      backend = fits;
-    }
-    out.backend = backend;
   }
   try {
     obs::Span load_span("load_formula");
@@ -262,25 +268,11 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
         res = checker::check_breadth_first(f, *reader, bopts);
         break;
       }
-      case Backend::kHybrid: {
-        checker::HybridOptions hopts;
-        hopts.recycle_arena = recycle_arena;
-        hopts.observer = emitter.get();
-        res = checker::check_hybrid(f, *reader, hopts);
-        break;
-      }
-      case Backend::kParallel: {
-        checker::ParallelOptions popts;
-        popts.jobs = jobs;
-        res = checker::check_parallel(f, *reader, popts);
-        break;
-      }
       case Backend::kWindow: {
         checker::WindowOptions wopts;
-        // 0 here means "no cap was set"; keep the WindowOptions default
-        // budget rather than degrading to one unbounded window.
-        if (mem_limit_bytes != 0) wopts.mem_limit_bytes = mem_limit_bytes;
+        wopts.mem_limit_bytes = window_budget;
         wopts.recycle_arena = recycle_arena;
+        wopts.observer = emitter.get();
         res = checker::check_window(f, *reader, wopts);
         break;
       }

@@ -12,14 +12,17 @@
 namespace satproof::service {
 
 /// Checker backend a job runs under. The numeric values are wire format
-/// (SubmitHeader::backend) — do not reorder.
+/// (SubmitHeader::backend) — do not reorder. Id 3 belonged to the retired
+/// wavefront-parallel backend and is no longer accepted.
 enum class Backend : std::uint8_t {
-  kDf = 0,        ///< depth-first resolution replay
-  kBf = 1,        ///< breadth-first (bounded-memory) replay
-  kHybrid = 2,    ///< reachability-pruned breadth-first window
-  kParallel = 3,  ///< wavefront-parallel depth-first
-  kDrup = 4,      ///< forward DRUP (trace file holds a DRUP proof)
-  kWindow = 5,    ///< window-shifting replay under a memory budget
+  kDf = 0,      ///< depth-first resolution replay
+  kBf = 1,      ///< breadth-first (bounded-memory) replay
+  /// Legacy name of the paper's hybrid checker, now window replay over one
+  /// unbounded window (run_check reports it as kWindow; on the wire it is
+  /// an alias of kWindow).
+  kHybrid = 2,
+  kDrup = 4,    ///< forward DRUP (trace file holds a DRUP proof)
+  kWindow = 5,  ///< window-shifting replay under a memory budget
 };
 
 inline constexpr std::uint8_t kNumBackends = 6;
@@ -27,13 +30,16 @@ inline constexpr std::uint8_t kNumBackends = 6;
 [[nodiscard]] std::optional<Backend> backend_from_name(std::string_view name);
 [[nodiscard]] const char* backend_name(Backend b);
 
-/// Picks the fastest replay backend whose estimated peak fits
+/// Decodes a SubmitHeader::backend wire id: id 2 (hybrid) is a legacy
+/// alias of kWindow; id 3 and ids past the table are unknown (nullopt).
+[[nodiscard]] std::optional<Backend> backend_from_wire(std::uint8_t id);
+
+/// Picks the faster replay backend whose estimated peak fits
 /// `mem_limit_bytes`, from the declared trace size: depth-first while the
 /// whole trace plus its memoized clauses fit (~6x the trace bytes on the
-/// committed bench suite), hybrid while the resident DAG structure fits
-/// (~3x), and the window-shifting backend beyond that — its resident
-/// footprint is a few bytes per derivation, independent of trace length.
-/// A zero budget means "no cap" and selects depth-first.
+/// committed bench suite), and the window-shifting backend beyond that —
+/// its resident footprint is a few bytes per derivation, independent of
+/// trace length. A zero budget means "no cap" and selects depth-first.
 [[nodiscard]] Backend select_backend_for_budget(std::uint64_t trace_bytes,
                                                 std::size_t mem_limit_bytes);
 
@@ -45,7 +51,7 @@ struct JobOutcome {
   bool ok = false;
   std::string error;  ///< checker/parse diagnostic when !ok
   Backend backend = Backend::kDf;
-  /// Replay backends (df/bf/hybrid/parallel); zeros for DRUP.
+  /// Replay backends (df/bf/window); zeros for DRUP.
   checker::CheckStats stats;
   /// Non-empty for validated UNSAT-under-assumptions traces.
   std::vector<Lit> failed_assumption_clause;
@@ -94,27 +100,27 @@ struct CertOptions {
 /// JobOutcome with ok == false, exactly like a rejected proof, so a bad
 /// job can never take down the service.
 ///
-/// `jobs` is the parallel backend's worker count (0 = hardware threads);
-/// other backends ignore it.
+/// `jobs` is a legacy parameter (the retired parallel backend's worker
+/// count) kept for source compatibility; it is ignored.
 ///
-/// `recycle_arena`, when non-null, backs the df/bf/hybrid/window clause
-/// store so
+/// `recycle_arena`, when non-null, backs the df/bf/window clause store so
 /// repeated checks on one thread reuse already-mapped chunks (it is
-/// reset() before use; the parallel and DRUP backends manage their own
-/// storage and ignore it). Outcomes are byte-identical either way.
+/// reset() before use; the DRUP backend manages its own storage and
+/// ignores it). Outcomes are byte-identical either way.
 /// `cert`, when its sink is non-null, streams an LRAT certificate of the
-/// replay to that sink (df and hybrid backends only — others fail the
+/// replay to that sink (df and window backends only — others fail the
 /// job). A certified run demands unconditional unsatisfiability: traces
 /// that verify only under assumptions, and sink write failures, turn the
 /// outcome into ok == false even though the underlying check passed.
 ///
 /// `mem_limit_bytes`, when non-zero, caps the checker's memory use: the
-/// window backend takes it as its budget, and a df/hybrid request whose
+/// window backend takes it as its budget, and a df request whose
 /// estimated peak exceeds it (from the trace file size — see
-/// select_backend_for_budget) is downgraded to the cheapest backend that
-/// fits; JobOutcome::backend records what actually ran. Certifying runs
-/// are never downgraded (emission requires df/hybrid); bf, parallel, and
-/// DRUP are unaffected (bf is already budget-bounded, DRUP streams).
+/// select_backend_for_budget) runs under the window backend instead,
+/// certifying or not; JobOutcome::backend records what actually ran. A
+/// kHybrid request runs the window backend at `mem_limit_bytes` (0 = one
+/// unbounded window). bf and DRUP are unaffected (bf is already
+/// budget-bounded, DRUP streams).
 [[nodiscard]] JobOutcome run_check(const std::string& cnf_path,
                                    const std::string& trace_path,
                                    Backend backend, unsigned jobs = 0,

@@ -420,17 +420,19 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         return protocol_error(ErrorCode::kMalformedFrame,
                               "SUBMIT payload is not a submit header");
       }
-      if (header.backend >= kNumBackends) {
+      const std::optional<Backend> backend =
+          backend_from_wire(header.backend);
+      if (!backend) {
         return protocol_error(ErrorCode::kBadRequest,
                               "unknown backend id " +
                                   std::to_string(header.backend));
       }
+      header.backend = static_cast<std::uint8_t>(*backend);
       if ((header.flags & kSubmitFlagCertify) != 0) {
-        const auto b = static_cast<Backend>(header.backend);
-        if (b != Backend::kDf && b != Backend::kHybrid) {
+        if (*backend != Backend::kDf && *backend != Backend::kWindow) {
           return protocol_error(
               ErrorCode::kBadRequest,
-              "certificate emission requires the df or hybrid backend");
+              "certificate emission requires the df or window backend");
         }
         if ((header.flags & kSubmitFlagWait) == 0) {
           // A certificate only travels on the result path; fire-and-forget
@@ -470,7 +472,6 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
       JobRequest request;
       request.id = next_job_id_.fetch_add(1);
       request.backend = static_cast<Backend>(upload.header.backend);
-      request.jobs = upload.header.jobs;
       request.timeout_ms = upload.header.timeout_ms != 0
                                ? upload.header.timeout_ms
                                : options_.default_timeout_ms;
@@ -674,9 +675,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
   const auto deadline =
       request.enqueued_at + std::chrono::milliseconds(request.timeout_ms);
 
-  // Per-job span profile. Only collected when --slow-job-ms is set; the
-  // collector is thread-local, so spans from the parallel backend's pool
-  // threads land in the global trace sink (if any) but not in this tree.
+  // Per-job span profile. Only collected when --slow-job-ms is set.
   const bool profile = options_.slow_job_ms > 0;
   obs::SpanTreeCollector collector;
   if (profile) {
@@ -708,7 +707,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
       cert.sink = &cert_sink;
       outcome = run_check(request.cnf_file.path().string(),
                           request.trace_file.path().string(), request.backend,
-                          request.jobs, &arena, cert,
+                          0, &arena, cert,
                           options_.mem_limit_bytes);
       outcome.certificate = std::move(cert_sink).str();
       if (options_.certify && outcome.ok) {
@@ -730,7 +729,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
     } else {
       outcome = run_check(request.cnf_file.path().string(),
                           request.trace_file.path().string(), request.backend,
-                          request.jobs, &arena, {}, options_.mem_limit_bytes);
+                          0, &arena, {}, options_.mem_limit_bytes);
     }
     run_span.finish();
     if (has_deadline && Clock::now() > deadline) {
@@ -758,7 +757,7 @@ void Server::execute_job(QueuedJob job, util::ClauseArena& arena) {
   }
 
   // Attribute to the backend that actually ran: the per-job memory cap
-  // may have downgraded a df/hybrid request (outcome.backend tracks it;
+  // may have downgraded a df request (outcome.backend tracks it;
   // for jobs that expired in the queue it is still the requested one).
   if (timed_out) {
     metrics_.on_timeout(outcome.backend);

@@ -10,8 +10,7 @@ std::size_t ClauseArena::grow(std::uint32_t slots) {
   if (chunks_.size() >= kMaxChunks) {
     throw std::runtime_error("clause arena: chunk table exhausted");
   }
-  // Geometric growth: small arenas (per-wave parallel shards, tiny
-  // traces) stay small; big replays converge to full 2^16-slot chunks.
+  // Geometric growth: small arenas (tiny traces) stay small; big replays converge to full 2^16-slot chunks.
   const std::uint32_t capacity = std::max(next_chunk_slots_, slots);
   next_chunk_slots_ = std::min(next_chunk_slots_ * 2, kMaxChunkSlots);
   Chunk chunk;

@@ -38,8 +38,7 @@ namespace satproof::util {
 /// 2^16 slots, and clauses longer than a chunk get a dedicated exact-size
 /// chunk at offset 0. Chunks are never reallocated or freed before the
 /// arena dies, so `const Lit*` block pointers stay stable for the arena's
-/// lifetime — the parallel checker relies on this to publish clause
-/// pointers (tagged_block()) across threads.
+/// lifetime.
 ///
 /// Bounded-memory (breadth-first) replay calls release(): the block goes
 /// on a per-length free list and the next put() of that length reuses it,
@@ -78,28 +77,6 @@ class ClauseArena {
     const Lit* p = c.data.get() + (ref & 0xffffu);
     if (c.binary) return {p, 2};
     return {p + 1, p[0].code()};
-  }
-
-  /// Block pointer with the layout encoded in its low bit (Lit blocks are
-  /// 4-byte aligned, so the bit is free): set for a headerless binary
-  /// block, clear for a headered one. This is what the parallel checker
-  /// publishes through its atomic slot table; view_of() decodes it.
-  [[nodiscard]] const Lit* tagged_block(Ref ref) const {
-    const Chunk& c = chunks_[ref >> 16];
-    const Lit* p = c.data.get() + (ref & 0xffffu);
-    if (!c.binary) return p;
-    return reinterpret_cast<const Lit*>(reinterpret_cast<std::uintptr_t>(p) |
-                                        1u);
-  }
-
-  /// The literals of a clause given its (possibly tagged) block pointer,
-  /// as published by the parallel checker's slot table.
-  [[nodiscard]] static std::span<const Lit> view_of(const Lit* block) {
-    const auto bits = reinterpret_cast<std::uintptr_t>(block);
-    if (bits & 1u) {
-      return {reinterpret_cast<const Lit*>(bits & ~std::uintptr_t{1}), 2};
-    }
-    return {block + 1, block[0].code()};
   }
 
   /// Mutable literals of `ref`'s clause, for engines that reorder literals

@@ -7,7 +7,7 @@
 
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
-#include "src/checker/hybrid.hpp"
+#include "src/checker/window.hpp"
 #include "src/cnf/model.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
@@ -76,7 +76,9 @@ TEST(Assumptions, AllCheckersValidateTheRefutation) {
   trace::MemoryTraceReader r1(t), r2(t), r3(t);
   const checker::CheckResult df = checker::check_depth_first(f, r1);
   const checker::CheckResult bf = checker::check_breadth_first(f, r2);
-  const checker::CheckResult hy = checker::check_hybrid(f, r3);
+  checker::WindowOptions wopts;
+  wopts.mem_limit_bytes = 0;
+  const checker::CheckResult hy = checker::check_window(f, r3, wopts);
   for (const auto* res : {&df, &bf, &hy}) {
     ASSERT_TRUE(res->ok) << res->error;
     // The derived clause refutes the assumption subset: its literals are
@@ -221,7 +223,9 @@ TEST_P(AssumptionSweep, TracesValidateAndModelsHonourAssumptions) {
     trace::MemoryTraceReader r1(t), r2(t), r3(t);
     const checker::CheckResult df = checker::check_depth_first(f, r1);
     const checker::CheckResult bf = checker::check_breadth_first(f, r2);
-    const checker::CheckResult hy = checker::check_hybrid(f, r3);
+    checker::WindowOptions wopts;
+    wopts.mem_limit_bytes = 0;
+    const checker::CheckResult hy = checker::check_window(f, r3, wopts);
     EXPECT_TRUE(df.ok) << df.error;
     EXPECT_TRUE(bf.ok) << bf.error;
     EXPECT_TRUE(hy.ok) << hy.error;

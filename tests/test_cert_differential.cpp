@@ -1,10 +1,11 @@
 // Differential fuzzing of the certificate pipeline: every UNSAT instance
 // of the 500-instance random-3SAT harness (same seeds and shape as
 // test_differential.cpp) is exported to LRAT from both emitting backends
-// (depth-first and hybrid, text and binary form) and re-verified by the
-// trusted kernel. The kernel's verdict must agree with all five checker
-// backends, and its step counts must match the emitter's — any divergence
-// is a bug in the emitter, the kernel, or a checker.
+// (depth-first, and window at budgets 0, 1 MiB and 16 KiB; text and binary
+// form) and re-verified by the trusted kernel. The kernel's verdict must
+// agree with every checker backend, and its step counts must match the
+// emitter's — any divergence is a bug in the emitter, the kernel, or a
+// checker.
 //
 // 500 seeded instances split into 10 shards so ctest can run them in
 // parallel and a failure names its shard/seed.
@@ -18,8 +19,7 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
+#include "src/checker/window.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/cnf/model.hpp"
 #include "src/encode/random_ksat.hpp"
@@ -40,7 +40,11 @@ struct Export {
   bool finished = false;
 };
 
-Export export_df(const Formula& f, const trace::MemoryTrace& t, bool binary) {
+/// Replays `t` with `check(reader, emitter)` attached to an LRAT emitter
+/// writing text or binary records.
+template <typename CheckFn>
+Export export_with(const Formula& f, const trace::MemoryTrace& t,
+                   bool binary, CheckFn check) {
   Export e;
   std::ostringstream sink;
   std::unique_ptr<cert::LratWriter> w;
@@ -51,9 +55,7 @@ Export export_df(const Formula& f, const trace::MemoryTrace& t, bool binary) {
   }
   cert::LratEmitter emitter(*w, f.num_clauses());
   trace::MemoryTraceReader r(t);
-  checker::DepthFirstOptions opts;
-  opts.observer = &emitter;
-  e.check = checker::check_depth_first(f, r, opts);
+  e.check = check(r, emitter);
   EXPECT_TRUE(w->ok());
   e.cert = std::move(sink).str();
   e.additions = emitter.additions();
@@ -62,27 +64,24 @@ Export export_df(const Formula& f, const trace::MemoryTrace& t, bool binary) {
   return e;
 }
 
-Export export_hybrid(const Formula& f, const trace::MemoryTrace& t,
-                     bool binary) {
-  Export e;
-  std::ostringstream sink;
-  std::unique_ptr<cert::LratWriter> w;
-  if (binary) {
-    w = std::make_unique<cert::BinaryLratWriter>(sink);
-  } else {
-    w = std::make_unique<cert::TextLratWriter>(sink);
-  }
-  cert::LratEmitter emitter(*w, f.num_clauses());
-  trace::MemoryTraceReader r(t);
-  checker::HybridOptions opts;
-  opts.observer = &emitter;
-  e.check = checker::check_hybrid(f, r, opts);
-  EXPECT_TRUE(w->ok());
-  e.cert = std::move(sink).str();
-  e.additions = emitter.additions();
-  e.deletions = emitter.deletions();
-  e.finished = emitter.finished();
-  return e;
+Export export_df(const Formula& f, const trace::MemoryTrace& t, bool binary) {
+  return export_with(f, t, binary,
+                     [&](trace::TraceReader& r, cert::LratEmitter& em) {
+                       checker::DepthFirstOptions opts;
+                       opts.observer = &em;
+                       return checker::check_depth_first(f, r, opts);
+                     });
+}
+
+Export export_window(const Formula& f, const trace::MemoryTrace& t,
+                     bool binary, std::size_t budget) {
+  return export_with(f, t, binary,
+                     [&](trace::TraceReader& r, cert::LratEmitter& em) {
+                       checker::WindowOptions opts;
+                       opts.mem_limit_bytes = budget;
+                       opts.observer = &em;
+                       return checker::check_window(f, r, opts);
+                     });
 }
 
 kern::VerifyResult kernel_verify(const Formula& f, const std::string& cert) {
@@ -98,7 +97,7 @@ class CertDifferentialFuzz : public ::testing::TestWithParam<int> {};
 TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
   const int shard = GetParam();
   int unsat_seen = 0;
-  std::uint64_t hybrid_deletions_total = 0;
+  std::uint64_t window_deletions_total = 0;
   for (int i = 0; i < kInstancesPerShard; ++i) {
     const std::uint64_t seed =
         1000 + static_cast<std::uint64_t>(shard) * kInstancesPerShard + i;
@@ -135,15 +134,12 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     ASSERT_EQ(solved, solver::SolveResult::Unsatisfiable);
     ++unsat_seen;
 
-    // The five backends must still agree the proof is valid.
+    // The non-emitting backends must still agree the proof is valid.
     trace::MemoryTraceReader r_bf(t);
     const checker::CheckResult bf = checker::check_breadth_first(f, r_bf);
-    trace::MemoryTraceReader r_par(t);
-    const checker::CheckResult par = checker::check_parallel(f, r_par);
     std::istringstream drup_in(drup_text.str());
     const checker::DrupCheckResult dr = checker::check_drup(f, drup_in);
     EXPECT_TRUE(bf.ok) << bf.error;
-    EXPECT_TRUE(par.ok) << par.error;
     EXPECT_TRUE(dr.ok) << dr.error;
 
     // Depth-first export, text and binary: both must kernel-verify with
@@ -167,34 +163,40 @@ TEST_P(CertDifferentialFuzz, KernelAgreesWithAllBackends) {
     EXPECT_EQ(kv_dfb.deletions, kv_df.deletions);
     EXPECT_LT(df_bin.cert.size(), df_text.cert.size() + 16);
 
-    // Hybrid export: same verdict, and its deletion records (absent from
-    // the df path, which releases nothing) must not break verification.
-    const Export hy_text = export_hybrid(f, t, /*binary=*/false);
-    ASSERT_TRUE(hy_text.check.ok) << hy_text.check.error;
-    ASSERT_TRUE(hy_text.finished);
-    const kern::VerifyResult kv_hy = kernel_verify(f, hy_text.cert);
-    EXPECT_TRUE(kv_hy.verified) << "line " << kv_hy.line << ": "
-                                << kv_hy.error;
-    EXPECT_EQ(kv_hy.additions, hy_text.additions);
-    EXPECT_EQ(kv_hy.deletions, hy_text.deletions);
-    // Hybrid replays every clause reachable in its window, df only the
-    // memoized final cone — hybrid may emit a superset, never less.
-    EXPECT_GE(kv_hy.additions, kv_df.additions);
-    hybrid_deletions_total += kv_hy.deletions;
+    // Window export at every budget: same verdict, and its deletion
+    // records (absent from the df path, which releases nothing) must not
+    // break verification.
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1} << 20, std::size_t{16} << 10}) {
+      SCOPED_TRACE("window budget=" + std::to_string(budget));
+      const Export wn_text = export_window(f, t, /*binary=*/false, budget);
+      ASSERT_TRUE(wn_text.check.ok) << wn_text.check.error;
+      ASSERT_TRUE(wn_text.finished);
+      const kern::VerifyResult kv_wn = kernel_verify(f, wn_text.cert);
+      EXPECT_TRUE(kv_wn.verified) << "line " << kv_wn.line << ": "
+                                  << kv_wn.error;
+      EXPECT_EQ(kv_wn.additions, wn_text.additions);
+      EXPECT_EQ(kv_wn.deletions, wn_text.deletions);
+      // Window replays the cones of every pinned level-0 antecedent, df
+      // only the memoized final cone — window may emit a superset, never
+      // less.
+      EXPECT_GE(kv_wn.additions, kv_df.additions);
+      window_deletions_total += kv_wn.deletions;
 
-    const Export hy_bin = export_hybrid(f, t, /*binary=*/true);
-    ASSERT_TRUE(hy_bin.check.ok) << hy_bin.check.error;
-    const kern::VerifyResult kv_hyb = kernel_verify(f, hy_bin.cert);
-    EXPECT_TRUE(kv_hyb.verified) << "record " << kv_hyb.line << ": "
-                                 << kv_hyb.error;
-    EXPECT_EQ(kv_hyb.additions, kv_hy.additions);
-    EXPECT_EQ(kv_hyb.deletions, kv_hy.deletions);
+      const Export wn_bin = export_window(f, t, /*binary=*/true, budget);
+      ASSERT_TRUE(wn_bin.check.ok) << wn_bin.check.error;
+      const kern::VerifyResult kv_wnb = kernel_verify(f, wn_bin.cert);
+      EXPECT_TRUE(kv_wnb.verified) << "record " << kv_wnb.line << ": "
+                                   << kv_wnb.error;
+      EXPECT_EQ(kv_wnb.additions, kv_wn.additions);
+      EXPECT_EQ(kv_wnb.deletions, kv_wn.deletions);
+    }
   }
   // The ratio sweep straddles the phase transition, so a healthy fraction
   // of every shard must actually exercise the certificate path, and the
-  // hybrid runs must exercise deletion records somewhere in the shard.
+  // window runs must exercise deletion records somewhere in the shard.
   EXPECT_GE(unsat_seen, kInstancesPerShard / 5);
-  EXPECT_GT(hybrid_deletions_total, 0u);
+  EXPECT_GT(window_deletions_total, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CertDifferentialFuzz,

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/cert/kernel.hpp"
 #include "src/util/temp_file.hpp"
 #include "tools/cli.hpp"
 
@@ -304,30 +305,76 @@ TEST_F(CliTest, CheckerOptionSelectsBackend) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux()});
   ASSERT_EQ(s.exit_code, kExitUnsat);
-  for (const char* mode : {"df", "bf", "hybrid", "parallel"}) {
+  for (const char* mode : {"df", "bf", "hybrid", "window"}) {
     const CliRun c = run({"check", "--checker", mode, cnf(), aux()});
     EXPECT_EQ(c.exit_code, 0) << mode << ": " << c.err;
     EXPECT_NE(c.out.find("VERIFIED"), std::string::npos) << mode;
   }
-  // --opt=value spelling, as in the issue's `--checker=parallel --jobs=4`.
-  const CliRun eq = run({"check", "--checker=parallel", "--jobs=4", cnf(),
-                         aux()});
+  // --opt=value spelling.
+  const CliRun eq = run({"check", "--checker=window", cnf(), aux()});
   EXPECT_EQ(eq.exit_code, 0) << eq.err;
   EXPECT_EQ(run({"check", "--checker", "warp", cnf(), aux()}).exit_code,
             kExitError);
   EXPECT_EQ(
       run({"check", "--checker", "df", "--bf", cnf(), aux()}).exit_code,
       kExitError);
-  EXPECT_EQ(run({"check", "--checker=parallel", "--jobs=0", cnf(), aux()})
-                .exit_code,
+  // The retired parallel backend and its --jobs flag are ordinary CLI
+  // errors now.
+  const CliRun par = run({"check", "--checker=parallel", cnf(), aux()});
+  EXPECT_EQ(par.exit_code, kExitError);
+  EXPECT_NE(par.err.find("--checker expects"), std::string::npos) << par.err;
+  EXPECT_EQ(run({"check", "--jobs=4", cnf(), aux()}).exit_code, kExitError);
+}
+
+TEST_F(CliTest, SolveRejectsRetiredParallelCheck) {
+  gen_php(5);
+  const CliRun r = run({"solve", cnf(), "--check", "parallel"});
+  EXPECT_EQ(r.exit_code, kExitError);
+  EXPECT_NE(r.err.find("--check expects"), std::string::npos) << r.err;
+  EXPECT_EQ(run({"solve", cnf(), "--check", "df", "--jobs", "2"}).exit_code,
             kExitError);
 }
 
-TEST_F(CliTest, SolveWithParallelCheck) {
-  gen_php(5);
-  const CliRun r = run({"solve", cnf(), "--check", "parallel", "--jobs", "2"});
-  EXPECT_EQ(r.exit_code, kExitUnsat);
-  EXPECT_NE(r.out.find("parallel check ok"), std::string::npos);
+/// The number following `"key":` in a --stats=json line.
+std::string json_field(const std::string& out, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = out.find(needle);
+  if (pos == std::string::npos) return "<missing>";
+  const auto begin = pos + needle.size();
+  return out.substr(begin, out.find_first_of(",}", begin) - begin);
+}
+
+TEST_F(CliTest, HybridIsWindowWithDepthFirstStats) {
+  gen_php(6);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat);
+  const CliRun df = run({"check", "--stats=json", cnf(), aux()});
+  ASSERT_EQ(df.exit_code, 0) << df.err;
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"check", "--hybrid", "--stats=json", cnf(),
+                                 aux()},
+        std::vector<std::string>{"check", "--checker=hybrid", "--stats=json",
+                                 cnf(), aux()}}) {
+    const CliRun hy = run(args);
+    ASSERT_EQ(hy.exit_code, 0) << args[1] << ": " << hy.err;
+    EXPECT_NE(hy.out.find("\"backend\":\"window\""), std::string::npos)
+        << hy.out;
+    for (const char* key :
+         {"resolutions", "clauses_built", "core_original_clauses"}) {
+      EXPECT_EQ(json_field(hy.out, key), json_field(df.out, key))
+          << args[1] << " " << key;
+    }
+  }
+
+  const CliRun ex =
+      run({"export-lrat", "--checker=hybrid", cnf(), aux(), "-o", aux2()});
+  ASSERT_EQ(ex.exit_code, 0) << ex.err;
+  EXPECT_NE(ex.out.find("(window replay)"), std::string::npos) << ex.out;
+  std::ifstream cnf_in(cnf_.path());
+  std::ifstream cert_in(aux2_.path());
+  const kern::VerifyResult kv = kern::verify_lrat(cnf_in, cert_in);
+  EXPECT_TRUE(kv.verified) << "line " << kv.line << ": " << kv.error;
+  EXPECT_GT(kv.deletions, 0u);
 }
 
 TEST_F(CliTest, TrimCommandRoundTrip) {

@@ -10,7 +10,7 @@
 
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
-#include "src/checker/hybrid.hpp"
+#include "src/checker/window.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/solver/solver.hpp"
@@ -69,9 +69,12 @@ void check_all_survive(const std::string& text, bool binary) {
         case 1:
           res = checker::check_breadth_first(f, *reader);
           break;
-        default:
-          res = checker::check_hybrid(f, *reader);
+        default: {
+          checker::WindowOptions opts;
+          opts.mem_limit_bytes = 0;
+          res = checker::check_window(f, *reader, opts);
           break;
+        }
       }
       if (!res.ok) {
         EXPECT_FALSE(res.error.empty());

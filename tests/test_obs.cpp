@@ -288,8 +288,11 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
       std::string::npos);
   EXPECT_NE(
       text.find(
-          "satproofd_backend_jobs_completed_total{backend=\"parallel\"} 0"),
+          "satproofd_backend_jobs_completed_total{backend=\"window\"} 0"),
       std::string::npos);
+  // Wire id 2 aliases window and id 3 is retired: neither gets a row.
+  EXPECT_EQ(text.find("backend=\"hybrid\""), std::string::npos);
+  EXPECT_EQ(text.find("backend=\"parallel\""), std::string::npos);
   EXPECT_NE(text.find("# TYPE satproof_resolutions_total counter"),
             std::string::npos);
 }

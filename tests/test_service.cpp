@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -106,7 +107,9 @@ Fixtures* ServiceE2E::fx_ = nullptr;
 
 TEST_F(ServiceE2E, AllBackendsMatchDirectRunCheck) {
   start_server();
-  for (int b = 0; b < static_cast<int>(kNumBackends); ++b) {
+  for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+    if (!backend_from_wire(b)) continue;  // id 3 is retired
+    // Raw wire id: 2 is the legacy hybrid id and must run as window.
     const Backend backend = static_cast<Backend>(b);
     const std::string trace =
         backend == Backend::kDrup ? fx_->drup4() : fx_->trace4();
@@ -126,6 +129,11 @@ TEST_F(ServiceE2E, AllBackendsMatchDirectRunCheck) {
     EXPECT_EQ(reply.verdict, verdict_line(direct)) << backend_name(backend);
     EXPECT_EQ(reply.result_json, outcome_json(direct))
         << backend_name(backend);
+    if (backend == Backend::kHybrid) {
+      EXPECT_NE(reply.result_json.find("\"backend\":\"window\""),
+                std::string::npos)
+          << reply.result_json;
+    }
   }
 }
 
@@ -184,7 +192,7 @@ TEST_F(ServiceE2E, ConcurrentClientsAllVerify) {
   opts.workers = 2;
   start_server(opts);
   const Backend backends[4] = {Backend::kDf, Backend::kBf, Backend::kHybrid,
-                               Backend::kParallel};
+                               Backend::kWindow};
   std::vector<std::thread> threads;
   std::vector<Client::SubmitReply> replies(4);
   for (int i = 0; i < 4; ++i) {
@@ -301,7 +309,7 @@ TEST_F(ServiceE2E, PrometheusStatsAreWellFormedAndCountJobs) {
             std::string::npos);
   EXPECT_NE(text.find("satproofd_jobs_completed_total 1"), std::string::npos);
   EXPECT_NE(
-      text.find("satproofd_backend_jobs_completed_total{backend=\"hybrid\"} 1"),
+      text.find("satproofd_backend_jobs_completed_total{backend=\"window\"} 1"),
       std::string::npos);
   EXPECT_NE(text.find("satproofd_queue_depth 0"), std::string::npos);
   EXPECT_NE(text.find("satproof_resolutions_total"), std::string::npos);
@@ -454,7 +462,7 @@ TEST_F(ServiceE2E, MultiWorkerServerMatchesDirectVerdicts) {
 
   constexpr int kClients = 8;
   const Backend backends[4] = {Backend::kDf, Backend::kBf, Backend::kHybrid,
-                               Backend::kParallel};
+                               Backend::kWindow};
   std::vector<std::thread> threads;
   std::vector<Client::SubmitReply> replies(kClients);
   for (int i = 0; i < kClients; ++i) {
@@ -482,7 +490,8 @@ TEST_F(ServiceE2E, CertifySubmitReturnsKernelVerifiableCertificate) {
   opts.certify = true;  // server re-verifies with the trusted kernel
   start_server(opts);
 
-  for (const Backend backend : {Backend::kDf, Backend::kHybrid}) {
+  for (const Backend backend :
+       {Backend::kDf, Backend::kHybrid, Backend::kWindow}) {
     Client client = connect();
     const Client::SubmitReply reply =
         client.submit(fx_->php4(), fx_->trace4(), backend, /*wait=*/true,
@@ -501,8 +510,39 @@ TEST_F(ServiceE2E, CertifySubmitReturnsKernelVerifiableCertificate) {
 
   // Both post-checks passed and were counted.
   const std::string prom = server_->metrics_prometheus();
-  EXPECT_NE(prom.find("satproofd_certified_total 2"), std::string::npos);
+  EXPECT_NE(prom.find("satproofd_certified_total 3"), std::string::npos);
   EXPECT_NE(prom.find("satproofd_certify_failed_total 0"),
+            std::string::npos);
+}
+
+TEST_F(ServiceE2E, CertifyUnderMemLimitRunsWindowAndVerifies) {
+  // A df certify request whose trace is past the depth-first band of the
+  // per-worker budget runs under window, and its certificate — deletion
+  // records included — still passes the server's kernel post-check and an
+  // independent one here.
+  ServerOptions opts;
+  opts.certify = true;
+  opts.mem_limit_bytes = std::filesystem::file_size(fx_->trace8());
+  ASSERT_EQ(select_backend_for_budget(opts.mem_limit_bytes,
+                                      opts.mem_limit_bytes),
+            Backend::kWindow);
+  start_server(opts);
+  Client client = connect();
+  const Client::SubmitReply reply =
+      client.submit(fx_->php8(), fx_->trace8(), Backend::kDf, /*wait=*/true,
+                    /*jobs=*/0, /*timeout_ms=*/0, /*certify=*/true);
+  ASSERT_TRUE(reply.transport_ok) << reply.error;
+  ASSERT_EQ(reply.status, JobStatus::kOk) << reply.verdict;
+  EXPECT_NE(reply.result_json.find("\"backend\":\"window\""),
+            std::string::npos)
+      << reply.result_json;
+  ASSERT_TRUE(reply.have_certificate);
+  std::ifstream cnf_in(fx_->php8());
+  std::istringstream cert_in(reply.certificate);
+  const kern::VerifyResult kv = kern::verify_lrat(cnf_in, cert_in);
+  EXPECT_TRUE(kv.verified) << "line " << kv.line << ": " << kv.error;
+  EXPECT_GT(kv.deletions, 0u);
+  EXPECT_NE(server_->metrics_prometheus().find("satproofd_certified_total 1"),
             std::string::npos);
 }
 

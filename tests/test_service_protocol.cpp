@@ -194,8 +194,10 @@ class ServiceProtocolSweep : public ::testing::Test {
     return util::connect_unix(socket_file_.path().string());
   }
 
-  /// Expects a kError frame with `code`, then connection close.
-  void expect_error_then_close(util::Socket& sock, ErrorCode code) {
+  /// Expects a kError frame with `code` (and, when given, exactly
+  /// `message`), then connection close.
+  void expect_error_then_close(util::Socket& sock, ErrorCode code,
+                               const std::string& want_message = {}) {
     Frame frame;
     ASSERT_EQ(read_frame(sock, frame), ReadStatus::kFrame);
     ASSERT_EQ(frame.tag, FrameTag::kError);
@@ -203,6 +205,9 @@ class ServiceProtocolSweep : public ::testing::Test {
     std::string message;
     ASSERT_TRUE(decode_error(frame.payload, got, message));
     EXPECT_EQ(got, code) << message;
+    if (!want_message.empty()) {
+      EXPECT_EQ(message, want_message);
+    }
     EXPECT_EQ(read_frame(sock, frame), ReadStatus::kClosed);
   }
 
@@ -280,12 +285,16 @@ TEST_F(ServiceProtocolSweep, MalformedSubmitHeaderGetsTypedError) {
 }
 
 TEST_F(ServiceProtocolSweep, UnknownBackendIdIsABadRequest) {
-  util::Socket sock = connect_raw();
-  SubmitHeader header;
-  header.backend = 0x30;  // far outside service::Backend
-  const auto payload = encode_submit_header(header);
-  ASSERT_TRUE(write_frame(sock, FrameTag::kSubmit, payload));
-  expect_error_then_close(sock, ErrorCode::kBadRequest);
+  // 3 was the retired parallel backend; 0x30 is far outside the table.
+  for (const std::uint8_t id : {std::uint8_t{3}, std::uint8_t{0x30}}) {
+    util::Socket sock = connect_raw();
+    SubmitHeader header;
+    header.backend = id;
+    const auto payload = encode_submit_header(header);
+    ASSERT_TRUE(write_frame(sock, FrameTag::kSubmit, payload));
+    expect_error_then_close(sock, ErrorCode::kBadRequest,
+                            "unknown backend id " + std::to_string(id));
+  }
 }
 
 TEST_F(ServiceProtocolSweep, StatsDuringUploadIsAViolation) {

@@ -1,8 +1,8 @@
 // Adversarial trace corpus: every checker backend must reject truncated,
 // reordered, wrong-antecedent, wrong-source and cyclic-dependency traces —
 // no crash, no false VERIFIED. The happy path is covered elsewhere; this
-// file is the systematic hostile sweep across all four trace-replaying
-// backends (fault-injected solver traces) plus corrupted DRUP proofs.
+// file is the systematic hostile sweep across the trace-replaying backends
+// (fault-injected solver traces) plus corrupted DRUP proofs.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
 #include "src/solver/solver.hpp"
@@ -29,8 +27,9 @@ struct BackendRun {
 };
 
 /// Runs all trace-replaying backends on one trace (the window backend at
-/// two budgets: roomy, and small enough to force several windows — a
-/// corrupt trace must be rejected on both paths).
+/// three budgets: one unbounded window — the hybrid configuration — a
+/// roomy one, and one small enough to force several windows; a corrupt
+/// trace must be rejected on every path).
 std::vector<BackendRun> run_all(const Formula& f, const trace::MemoryTrace& t) {
   std::vector<BackendRun> runs;
   {
@@ -41,25 +40,14 @@ std::vector<BackendRun> run_all(const Formula& f, const trace::MemoryTrace& t) {
     trace::MemoryTraceReader r(t);
     runs.push_back({"breadth-first", check_breadth_first(f, r)});
   }
-  {
-    trace::MemoryTraceReader r(t);
-    runs.push_back({"hybrid", check_hybrid(f, r)});
-  }
-  {
-    trace::MemoryTraceReader r(t);
-    ParallelOptions opts;
-    opts.jobs = 3;
-    runs.push_back({"parallel", check_parallel(f, r, opts)});
-  }
-  {
-    trace::MemoryTraceReader r(t);
-    runs.push_back({"window", check_window(f, r)});
-  }
-  {
+  for (const auto& [name, budget] :
+       {std::pair{"window-0", std::size_t{0}},
+        std::pair{"window-1m", std::size_t{1} << 20},
+        std::pair{"window-16k", std::size_t{16} << 10}}) {
     trace::MemoryTraceReader r(t);
     WindowOptions opts;
-    opts.mem_limit_bytes = 64 << 10;
-    runs.push_back({"window-64k", check_window(f, r, opts)});
+    opts.mem_limit_bytes = budget;
+    runs.push_back({name, check_window(f, r, opts)});
   }
   return runs;
 }
@@ -78,7 +66,7 @@ void expect_all_reject(const Formula& f, const trace::MemoryTrace& t,
 }
 
 /// Fault-injection sweep over every backend, mirroring the DF/BF sweep in
-/// test_checker.cpp but extended to the hybrid and parallel backends.
+/// test_checker.cpp but extended to the window backend.
 class CorruptSweep : public ::testing::TestWithParam<trace::FaultKind> {};
 
 TEST_P(CorruptSweep, EveryBackendRejects) {

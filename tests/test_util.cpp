@@ -1,15 +1,12 @@
 // Unit tests for src/util: PRNG, varint codec, memory tracker, temp files,
-// table formatting, thread pool.
+// table formatting, clause arena, byte sources.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-
-#include "src/util/thread_pool.hpp"
 
 #include "src/util/arena.hpp"
 #include "src/util/byte_source.hpp"
@@ -283,68 +280,6 @@ TEST(Timer, MeasuresNonNegative) {
   EXPECT_GE(t.elapsed_ms(), 0.0);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdlePublishesTaskWrites) {
-  // wait_idle() must establish happens-before: plain (non-atomic) writes
-  // from the tasks are readable afterwards. TSan validates this for real.
-  ThreadPool pool(3);
-  std::vector<int> results(256, 0);
-  for (int round = 0; round < 4; ++round) {
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      pool.submit([&results, i] { results[i] += static_cast<int>(i); });
-    }
-    pool.wait_idle();
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], static_cast<int>(i) * 4);
-  }
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  ASSERT_EQ(order.size(), 50u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, DestructionWithQueuedWorkDoesNotHang) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // Destructor joins; tasks not yet started may be discarded, but the
-    // pool must shut down cleanly either way.
-  }
-  EXPECT_LE(count.load(), 100);
-}
-
 namespace {
 std::vector<Lit> lits(std::initializer_list<int> dimacs) {
   std::vector<Lit> out;
@@ -417,22 +352,19 @@ TEST(ClauseArena, OversizedClauseGetsDedicatedChunk) {
 TEST(ClauseArena, BlockPointersStableAcrossGrowth) {
   ClauseArena arena;
   // One clause per tier: {1, -2} lands in a headerless binary-tier block,
-  // the 3-lit clause in a headered chunk. tagged_block() is the
-  // tier-agnostic pointer form (what the parallel checker publishes).
+  // the 3-lit clause in a headered chunk.
   const ClauseArena::Ref r = arena.put(lits({1, -2}));
   const ClauseArena::Ref r3 = arena.put(lits({6, -7, 8}));
-  const Lit* bin_block = arena.tagged_block(r);
-  const Lit* long_block = arena.tagged_block(r3);
+  const Lit* bin_block = arena.view(r).data();
+  const Lit* long_block = arena.view(r3).data();
   // Force many chunk allocations.
   for (int i = 0; i < 100000; ++i) arena.put(lits({3, -4, 5}));
-  EXPECT_EQ(arena.tagged_block(r), bin_block);
-  EXPECT_EQ(arena.tagged_block(r3), long_block);
-  const auto v = ClauseArena::view_of(bin_block);
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_EQ(v[1], Lit::from_dimacs(-2));
-  const auto v3 = ClauseArena::view_of(long_block);
-  ASSERT_EQ(v3.size(), 3u);
-  EXPECT_EQ(v3[2], Lit::from_dimacs(8));
+  EXPECT_EQ(arena.view(r).data(), bin_block);
+  EXPECT_EQ(arena.view(r3).data(), long_block);
+  ASSERT_EQ(arena.view(r).size(), 2u);
+  EXPECT_EQ(bin_block[1], Lit::from_dimacs(-2));
+  ASSERT_EQ(arena.view(r3).size(), 3u);
+  EXPECT_EQ(long_block[2], Lit::from_dimacs(8));
 }
 
 TEST(ByteSource, MemorySourceServesWholeRange) {

@@ -6,7 +6,6 @@ committed baseline and fails (exit 1) when any wall-time metric regresses
 by more than the threshold.
 
   bench_compare.py --bench table2   BENCH_checkers.json fresh_table2.json
-  bench_compare.py --bench parallel BENCH_checkers.json fresh_parallel.json
   bench_compare.py --bench service  BENCH_service.json  fresh_service.json
   bench_compare.py --bench micro    BENCH_checkers.json fresh_micro.json
 
@@ -17,13 +16,11 @@ scheduler noise alone approaches the threshold.
 
 Baseline layout (committed):
   BENCH_checkers.json  "quick" block      -> table2_checkers --quick totals
-                       "parallel_quick"   -> parallel_speedup --quick doc
                        "micro_quick"      -> micro_resolver --quick doc
   BENCH_service.json   "quick" block      -> service_throughput --quick doc
 
 Current layout (fresh run):
   table2_checkers --quick --json FILE     (totals under "arena")
-  parallel_speedup --quick --json FILE    (totals at top level)
   service_throughput --quick --json FILE  (runs at top level)
   micro_resolver --quick --json FILE      (totals at top level)
 
@@ -98,16 +95,6 @@ def extract(bench, baseline_doc, current_doc):
                 base_metrics[k] = v
                 cur_metrics[k] = cur["memory"][k]
         return (base_metrics, cur_metrics, base.get("suite"), cur.get("suite"))
-    if bench == "parallel":
-        base = baseline_doc.get("parallel_quick") or baseline_doc
-        cur = current_doc
-        keys = ("df_seconds", "par1_seconds", "par2_seconds", "par4_seconds")
-        return (
-            totals_metrics(base.get("totals", {}), keys),
-            totals_metrics(cur.get("totals", {}), keys),
-            base.get("suite"),
-            cur.get("suite"),
-        )
     if bench == "service":
         base = baseline_doc.get("quick") or baseline_doc
         cur = current_doc
@@ -174,7 +161,7 @@ def main():
     ap.add_argument(
         "--bench",
         required=True,
-        choices=("table2", "parallel", "service", "micro"),
+        choices=("table2", "service", "micro"),
         help="which bench pair is being compared",
     )
     ap.add_argument(

@@ -16,8 +16,6 @@
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
-#include "src/checker/hybrid.hpp"
-#include "src/checker/parallel.hpp"
 #include "src/circuit/tseitin.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/trace.hpp"
@@ -58,9 +56,7 @@ usage:
       --trace FILE     write the resolution trace (ASCII; --binary for binary)
       --binary         binary trace format
       --check MODE     validate an UNSAT answer in-process:
-                       df | bf | parallel | both
-      --jobs N         worker threads for --check parallel (default: all
-                       hardware threads)
+                       df | bf | both
       --core FILE      write the unsatisfiable core as DIMACS
       --minimal-core   shrink the core to a set-minimal one first
       --proof-dot FILE write the proof DAG in graphviz format
@@ -83,23 +79,22 @@ usage:
                        in chrome://tracing or Perfetto; docs/OBSERVABILITY.md)
       exit code: 10 SAT, 20 UNSAT, 0 unknown, 1 error
 
-  satproof check <file.cnf> <trace-file> [--checker=MODE] [--jobs=N] [--binary]
+  satproof check <file.cnf> <trace-file> [--checker=MODE] [--binary]
                  [--mem-limit=N] [--stats] [--trace-out FILE]
       replay a trace against the formula; exit 0 iff the proof is valid.
       --checker picks the backend: df (default) depth-first resolution
-      replay; bf breadth-first; hybrid the bounded-memory hybrid; parallel
-      wavefront-parallel depth-first across N worker threads (--jobs,
-      default: all hardware threads; identical verdict, core and stats to
-      df); rup cross-validates every derived clause by reverse unit
-      propagation instead of replaying resolutions; window replays the
-      trace in budget-sized windows under --mem-limit (verdict, core and
-      stats identical to df at a fraction of the memory); auto picks df
-      for small traces and the memory-light hybrid for large ones (the
-      selection is recorded in the --stats=json "backend" field).
+      replay; bf breadth-first; rup cross-validates every derived clause
+      by reverse unit propagation instead of replaying resolutions;
+      window replays only the clauses df would build, in budget-sized
+      windows under --mem-limit (verdict, core and stats identical to df
+      at a fraction of the memory); hybrid is window over one unbounded
+      window (reported as "window"); auto picks df for small traces and
+      window for large ones (the selection is recorded in the
+      --stats=json "backend" field).
       --mem-limit=N caps checker memory (K/M/G suffixes accepted): it is
       the window backend's budget, steers --checker=auto by the budget
-      and trace size, and downgrades df/hybrid requests that would not
-      fit (see docs/CHECKERS.md). The
+      and trace size, and moves df requests that would not fit to window
+      (see docs/CHECKERS.md). The
       flags --bf, --hybrid and --rup remain as shorthands. --stats
       appends a line with clause-arena traffic (bytes
       allocated/recycled/peak) and total peak checker memory;
@@ -112,12 +107,13 @@ usage:
 
   satproof export-lrat <file.cnf> <trace-file> -o cert.lrat
                        [--checker=df|hybrid|auto] [--binary-cert]
-      replay the trace (df by default) and stream a hint-annotated LRAT
-      certificate of unsatisfiability to the output file; exit 0 iff the
-      check passed and the certificate was written. --binary-cert emits
-      the compact binary GRIT-style variant instead of text. Re-verify
-      with the independent trusted kernel:  satproof-kern <file.cnf>
-      <cert.lrat>  (see docs/CERTIFICATES.md).
+      replay the trace (df by default; hybrid runs window over one
+      unbounded window and also emits deletions) and stream a
+      hint-annotated LRAT certificate of unsatisfiability to the output
+      file; exit 0 iff the check passed and the certificate was written.
+      --binary-cert emits the compact binary GRIT-style variant instead
+      of text. Re-verify with the independent trusted kernel:
+      satproof-kern <file.cnf> <cert.lrat>  (see docs/CERTIFICATES.md).
 
   satproof serve (--socket PATH | --tcp PORT | both) [options]
       run satproofd, the batch proof-checking daemon (see docs/SERVICE.md)
@@ -132,10 +128,10 @@ usage:
       --slow-job-ms N  dump a span-tree profile to stderr for any job
                        slower than N ms (0 = off, the default)
       --mem-limit N    per-worker checker memory cap in bytes (K/M/G
-                       suffixes accepted): df/hybrid jobs that would not
-                       fit are downgraded, ultimately to the
-                       window-shifting backend, so one huge upload cannot
-                       OOM a worker (0 = no cap, the default)
+                       suffixes accepted): df jobs that would not fit run
+                       under the window-shifting backend, certifying or
+                       not, so one huge upload cannot OOM a worker
+                       (0 = no cap, the default)
       --certify        re-verify every certified job's LRAT output with
                        the trusted kernel before replying (counted in the
                        satproofd_certified_total metrics)
@@ -143,15 +139,16 @@ usage:
       refused, then the daemon exits 0.
 
   satproof submit <file.cnf> <trace-file> (--socket PATH | --tcp PORT)
-                  [--backend=MODE] [--jobs N] [--wait] [--timeout-ms N]
+                  [--backend=MODE] [--wait] [--timeout-ms N]
                   [--certify [--cert-out FILE]]
       submit one checking job to a running daemon. --backend picks
-      df | bf | hybrid | parallel | drup | window (default df; drup
-      treats the trace argument as a DRUP proof; window replays under
-      the daemon's --mem-limit budget). --wait blocks for the verdict and
-      exits 0 iff the proof checked out. --certify (df/hybrid only,
-      implies --wait) asks the daemon for an LRAT certificate, delivered
-      in a RESULT_CERT frame; --cert-out saves it to a file.
+      df | bf | hybrid | drup | window (default df; drup treats the trace
+      argument as a DRUP proof; window replays under the daemon's
+      --mem-limit budget; hybrid is an alias of window). --wait blocks for
+      the verdict and exits 0 iff the proof checked out. --certify
+      (df/hybrid/window only, implies --wait) asks the daemon for an LRAT
+      certificate, delivered in a RESULT_CERT frame; --cert-out saves it
+      to a file.
 
   satproof stats (--socket PATH | --tcp PORT) [--format=json|prometheus]
       print a running daemon's metrics snapshot (JSON by default;
@@ -358,11 +355,6 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
   const bool binary = args.take_flag("--binary");
   const auto trace_path = args.take_option("--trace");
   const auto check_mode = args.take_option("--check");
-  unsigned jobs = 0;
-  if (const auto v = args.take_option("--jobs")) {
-    jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
-    if (jobs == 0) throw CliError("--jobs must be at least 1");
-  }
   const auto core_path = args.take_option("--core");
   const bool minimal_core_wanted = args.take_flag("--minimal-core");
   const auto dot_path = args.take_option("--proof-dot");
@@ -387,8 +379,8 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
   ScopedTraceOut scoped_trace(trace_out_path, err);
 
   if (check_mode && *check_mode != "df" && *check_mode != "bf" &&
-      *check_mode != "parallel" && *check_mode != "both") {
-    throw CliError("--check expects df, bf, parallel or both");
+      *check_mode != "both") {
+    throw CliError("--check expects df, bf or both");
   }
 
   const Formula f = dimacs::parse_file(cnf_path);
@@ -551,20 +543,6 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
     }
     out << "c breadth-first check ok in " << ct.elapsed_seconds() << "s\n";
   }
-  if (check_mode && *check_mode == "parallel") {
-    trace::MemoryTraceReader reader(t);
-    util::Timer ct;
-    checker::ParallelOptions popts;
-    popts.jobs = jobs;
-    const checker::CheckResult pr = checker::check_parallel(f, reader, popts);
-    if (!pr.ok) {
-      err << "PROOF CHECK FAILED (parallel): " << pr.error << "\n";
-      return kExitError;
-    }
-    out << "c parallel check ok in " << ct.elapsed_seconds() << "s ("
-        << pr.stats.clauses_built << "/" << pr.stats.total_derivations
-        << " clauses built)\n";
-  }
 
   if (core_path) {
     std::vector<ClauseId> ids;
@@ -614,18 +592,18 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
 
 /// --checker=auto: depth-first is the fast replay but keeps the whole
 /// trace plus every memoized clause resident; past this trace size the
-/// hybrid's bounded clause window is the safer default. The threshold is
-/// a heuristic on the trace file size (the dominant memory driver), and
+/// window backend's bounded footprint is the safer default. The threshold
+/// is a heuristic on the trace file size (the dominant memory driver), and
 /// the choice is recorded in the stats "backend" field.
-constexpr std::uint64_t kAutoHybridTraceBytes = 64ull << 20;
+constexpr std::uint64_t kAutoWindowTraceBytes = 64ull << 20;
 
 service::Backend resolve_auto_backend(const std::string& trace_path) {
   std::ifstream in(trace_path, std::ios::in | std::ios::binary | std::ios::ate);
   const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg())
                                  : std::streamoff{0};
   return (size > 0 &&
-          static_cast<std::uint64_t>(size) >= kAutoHybridTraceBytes)
-             ? service::Backend::kHybrid
+          static_cast<std::uint64_t>(size) >= kAutoWindowTraceBytes)
+             ? service::Backend::kWindow
              : service::Backend::kDf;
 }
 
@@ -643,11 +621,6 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   }
   const auto checker_opt = args.take_option("--checker");
   const auto trace_out_path = args.take_option("--trace-out");
-  unsigned jobs = 0;
-  if (const auto v = args.take_option("--jobs")) {
-    jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
-    if (jobs == 0) throw CliError("--jobs must be at least 1");
-  }
   std::size_t mem_limit = 0;
   if (const auto v = args.take_option("--mem-limit")) {
     mem_limit = static_cast<std::size_t>(parse_byte_size(*v, "--mem-limit"));
@@ -665,9 +638,8 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
                      : use_rup    ? "rup"
                                   : checker_opt.value_or("df");
   if (mode != "df" && mode != "bf" && mode != "hybrid" && mode != "rup" &&
-      mode != "parallel" && mode != "window" && mode != "auto") {
-    throw CliError(
-        "--checker expects df, bf, hybrid, rup, parallel, window or auto");
+      mode != "window" && mode != "auto") {
+    throw CliError("--checker expects df, bf, hybrid, rup, window or auto");
   }
   if (mem_limit != 0 && mode == "rup") {
     throw CliError("--mem-limit does not apply to the rup checker");
@@ -706,7 +678,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   // no-op for compatibility. With both --checker=auto and --mem-limit the
   // backend is picked from the budget and the declared trace size
   // (select_backend_for_budget); run_check then re-applies the same cap to
-  // explicit df/hybrid requests.
+  // explicit df requests. hybrid is window over one unbounded window.
   service::Backend backend;
   if (mode == "auto" && mem_limit != 0) {
     std::ifstream in(trace_path,
@@ -721,7 +693,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
     backend = *service::backend_from_name(mode);
   }
   const service::JobOutcome result = service::run_check(
-      cnf_path, trace_path, backend, jobs, nullptr, {}, mem_limit);
+      cnf_path, trace_path, backend, 0, nullptr, {}, mem_limit);
   if (result.ok) {
     if (result.failed_assumption_clause.empty()) {
       out << "VERIFIED: valid resolution proof of unsatisfiability ("
@@ -951,14 +923,9 @@ int cmd_submit(Args args, std::ostream& out, std::ostream& err) {
   if (const auto v = args.take_option("--backend")) {
     const auto parsed = service::backend_from_name(*v);
     if (!parsed) {
-      throw CliError(
-          "--backend expects df, bf, hybrid, parallel, drup or window");
+      throw CliError("--backend expects df, bf, hybrid, drup or window");
     }
     backend = *parsed;
-  }
-  unsigned jobs = 0;
-  if (const auto v = args.take_option("--jobs")) {
-    jobs = static_cast<unsigned>(parse_u64(*v, "--jobs"));
   }
   std::uint32_t timeout_ms = 0;
   if (const auto v = args.take_option("--timeout-ms")) {
@@ -977,7 +944,7 @@ int cmd_submit(Args args, std::ostream& out, std::ostream& err) {
   args.expect_done();
 
   const service::Client::SubmitReply reply = client.submit(
-      cnf_path, trace_path, backend, wait, jobs, timeout_ms, certify);
+      cnf_path, trace_path, backend, wait, 0, timeout_ms, certify);
   if (!reply.transport_ok) {
     err << "error: " << reply.error << "\n";
     return kExitError;

@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Regenerates the committed benchmark baselines.
 
-Runs table2_checkers, parallel_speedup, micro_resolver and
-service_throughput from a Release build (standard + quick scales), merges
-their JSON documents and rewrites BENCH_checkers.json /
-BENCH_service.json in the layout tools/bench_compare.py consumes. The
-previous standard-suite checker numbers are preserved as the embedded
-"baseline" block so the committed file still records the last
-before/after comparison, and both files carry a "provenance" block
-(hardware threads, CPU model, compiler) identifying the machine the
-numbers came from.
+Runs table2_checkers, micro_resolver and service_throughput from a
+Release build (standard + quick scales), merges their JSON documents and
+rewrites BENCH_checkers.json / BENCH_service.json in the layout
+tools/bench_compare.py consumes. The previous standard-suite checker
+numbers are preserved as the embedded "baseline" block so the committed
+file still records the last before/after comparison, and both files
+carry a "provenance" block (hardware threads, CPU model, compiler)
+identifying the machine the numbers came from.
 
   cmake -B build-rel -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-rel -j --target table2_checkers parallel_speedup micro_resolver service_throughput
+  cmake --build build-rel -j --target table2_checkers micro_resolver service_throughput
   python3 tools/refresh_baselines.py --build build-rel
 
 Run on a quiet machine; commit the two BENCH files afterwards.
@@ -147,7 +146,6 @@ def main():
 
     t2_std = run_bench(os.path.join(bench_dir, "table2_checkers"))
     t2_quick = run_bench_best(os.path.join(bench_dir, "table2_checkers"), "--quick")
-    par_quick = run_bench_best(os.path.join(bench_dir, "parallel_speedup"), "--quick")
     micro_std = run_bench(os.path.join(bench_dir, "micro_resolver"))
     micro_quick = run_bench_best(os.path.join(bench_dir, "micro_resolver"), "--quick")
     svc_std = run_bench(os.path.join(bench_dir, "service_throughput"))
@@ -164,7 +162,6 @@ def main():
         "quick": t2_quick["arena"],
         "tracing_overhead_quick": t2_quick.get("tracing_overhead"),
         "lrat_overhead_quick": t2_quick.get("lrat_overhead"),
-        "parallel_quick": par_quick,
         "micro": micro_std,
         "micro_quick": micro_quick,
     }
