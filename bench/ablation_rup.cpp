@@ -49,7 +49,7 @@ int main() {
     }
 
     double rup_secs = 0.0;
-    proof::RupResult rup;
+    checker::DrupCheckResult rup;
     {
       // DAG extraction is shared infrastructure; time only the RUP part.
       trace::MemoryTraceReader reader(solved.trace);

@@ -29,9 +29,8 @@ struct DrupCheckResult {
 /// checking faithful: a clause deleted by the solver must not help justify
 /// a later one.
 ///
-/// The checker maintains a persistent top-level propagation prefix,
-/// rebuilt lazily after deletion batches (deleting a clause can invalidate
-/// implied top-level literals).
+/// Propagation runs on RupEngine (rup_engine.hpp), whose persistent
+/// top-level prefix is rebuilt lazily after deletion batches.
 [[nodiscard]] DrupCheckResult check_drup(const Formula& f,
                                          std::istream& proof);
 

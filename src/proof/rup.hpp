@@ -1,25 +1,16 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-
+#include "src/checker/drup.hpp"
 #include "src/proof/proof_dag.hpp"
 #include "src/trace/events.hpp"
 
 namespace satproof::proof {
 
-/// Result of RUP cross-validation.
-struct RupResult {
-  bool ok = false;
-  std::string error;
-  std::uint64_t clauses_checked = 0;  ///< derived clauses verified
-  std::uint64_t propagations = 0;     ///< unit propagations performed
-};
-
 /// Verifies every derived clause of `dag` by **reverse unit propagation**:
 /// assume the negation of the clause and unit-propagate over the original
 /// clauses plus the previously verified derived clauses; a conflict must
-/// follow.
+/// follow. `clauses_checked` counts derived clauses; `deletions` is always
+/// 0 (a DAG deletes nothing).
 ///
 /// This is the verification style of the paper's contemporaries — Van
 /// Gelder's checkable proofs (the paper's reference [13]) and Goldberg &
@@ -29,16 +20,16 @@ struct RupResult {
 /// exactly the RUP-checkable ones, so RUP must accept every DAG the
 /// resolution checkers accept. Running both gives two *methodologically
 /// independent* validations of the same proof: one replays the inference
-/// steps, the other re-derives each conclusion semantically, sharing no
-/// code path beyond the clause parser.
+/// steps, the other re-derives each conclusion semantically.
 ///
-/// The propagation engine here is deliberately self-contained (its own
-/// watched-literal scheme), independent of both the solver and the
-/// resolution checkers.
-[[nodiscard]] RupResult check_rup(const Formula& f, const ProofDag& dag);
+/// RUP-checking a DAG is DRUP checking with no deletions, so it runs on
+/// checker::RupEngine, the propagation engine check_drup uses. That engine
+/// is independent of the solver's propagation and of resolution replay.
+[[nodiscard]] checker::DrupCheckResult check_rup(const Formula& f,
+                                                 const ProofDag& dag);
 
 /// Convenience: extract the proof DAG from a trace and RUP-check it.
-[[nodiscard]] RupResult check_trace_rup(const Formula& f,
-                                        trace::TraceReader& reader);
+[[nodiscard]] checker::DrupCheckResult check_trace_rup(
+    const Formula& f, trace::TraceReader& reader);
 
 }  // namespace satproof::proof

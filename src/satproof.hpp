@@ -11,7 +11,8 @@
 ///   solver    CDCL search with resolution-trace generation + assumptions
 ///   simplify  traceable preprocessing (subsume / strengthen / eliminate)
 ///   trace     the trace formats (memory / ASCII / binary) + fault injection
-///   checker   the independent checkers (depth-first / breadth-first / window)
+///   checker   the independent checkers (depth-first / breadth-first / window /
+///             DRUP) and the RUP/DRUP propagation engine
 ///   proof     proof DAGs: metrics, export, trimming, RUP, interpolation
 ///   core      unsatisfiable cores: extract, iterate, minimize
 ///   circuit   netlists, word ops, Tseitin, miters, rewriting, sorting nets
@@ -28,6 +29,7 @@
 #include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/resolution.hpp"
+#include "src/checker/rup_engine.hpp"
 #include "src/checker/use_count.hpp"
 #include "src/checker/window.hpp"
 #include "src/circuit/miter.hpp"

@@ -160,15 +160,6 @@ std::string outcome_json(const JobOutcome& o) {
 
 namespace {
 
-/// True when the file starts with the binary-trace magic "SPRF".
-bool is_binary_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  char magic[4] = {0, 0, 0, 0};
-  in.read(magic, 4);
-  return in.gcount() == 4 && magic[0] == 'S' && magic[1] == 'P' &&
-         magic[2] == 'R' && magic[3] == 'F';
-}
-
 /// Size of `path` in bytes (0 when it cannot be measured; the budget
 /// selection then keeps the requested backend).
 std::uint64_t trace_file_bytes(const std::string& path) {
@@ -241,7 +232,7 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
 
     std::unique_ptr<trace::TraceReader> reader;
     std::ifstream ascii_in;
-    if (is_binary_trace(trace_path)) {
+    if (trace::is_binary_trace(trace_path)) {
       reader = trace::open_binary_trace_file(trace_path);
     } else {
       ascii_in.open(trace_path);

@@ -1,5 +1,7 @@
 #include "src/trace/binary.hpp"
 
+#include <algorithm>
+#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -224,6 +226,13 @@ void BinaryTraceReader::seek(std::uint64_t pos) {
 
 void BinaryTraceReader::release_hint(std::uint64_t begin, std::uint64_t end) {
   if (end > begin) source_->release(begin, end - begin);
+}
+
+bool is_binary_trace(const std::string& path) {
+  std::ifstream in(path, std::ios::in | std::ios::binary);
+  char magic[4] = {0, 0, 0, 0};
+  in.read(magic, 4);
+  return in.gcount() == 4 && std::equal(magic, magic + 4, kMagic);
 }
 
 std::unique_ptr<BinaryTraceReader> open_binary_trace_file(

@@ -107,6 +107,11 @@ class BinaryTraceReader final : public TraceReader {
   bool done_ = false;
 };
 
+/// True when the file at `path` starts with the binary-trace magic "SPRF"
+/// (false when it cannot be read). `satproof check`, for every backend,
+/// and satproofd pick the trace reader this way.
+[[nodiscard]] bool is_binary_trace(const std::string& path);
+
 /// Opens `path` as a memory-mapped binary trace — the fast path for
 /// on-disk traces. Throws std::runtime_error on open or header failure.
 std::unique_ptr<BinaryTraceReader> open_binary_trace_file(

@@ -103,6 +103,15 @@ TEST_F(CliTest, BinaryTraceRoundTrip) {
   EXPECT_EQ(c.exit_code, 0) << c.err;
 }
 
+TEST_F(CliTest, RupDetectsBinaryTraceByMagic) {
+  gen_php(5);
+  const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
+  ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
+  const CliRun c = run({"check", cnf(), aux(), "--rup"});
+  EXPECT_EQ(c.exit_code, 0) << c.err;
+  EXPECT_NE(c.out.find("VERIFIED (RUP)"), std::string::npos);
+}
+
 TEST_F(CliTest, CheckStatsReportsArenaTraffic) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});

@@ -1,5 +1,5 @@
 // Differential fuzzing across every checker backend: the same solver run
-// is validated by depth-first, breadth-first, DRUP and window-shifting
+// is validated by depth-first, breadth-first, DRUP, RUP and window-shifting
 // checking (at budget 0 — the hybrid configuration — and at shifting
 // budgets), and all must agree — same verdict on every instance, and
 // (where a backend extracts one) the same unsat core. Instances are random
@@ -19,6 +19,7 @@
 #include "src/checker/window.hpp"
 #include "src/cnf/model.hpp"
 #include "src/encode/random_ksat.hpp"
+#include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/memory.hpp"
@@ -65,6 +66,8 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
       EXPECT_TRUE(satisfies(f, s.model()));
       trace::MemoryTraceReader r(t);
       EXPECT_FALSE(checker::check_depth_first(f, r).ok);
+      trace::MemoryTraceReader rr(t);
+      EXPECT_FALSE(proof::check_trace_rup(f, rr).ok);
       for (const std::size_t limit : kWindowBudgets) {
         trace::MemoryTraceReader rw(t);
         checker::WindowOptions wopts;
@@ -82,10 +85,13 @@ TEST_P(DifferentialFuzz, AllBackendsAgreeOnVerdictAndCore) {
     const checker::CheckResult bf = checker::check_breadth_first(f, r2);
     std::istringstream drup_in(drup_text.str());
     const checker::DrupCheckResult dr = checker::check_drup(f, drup_in);
+    trace::MemoryTraceReader r3(t);
+    const checker::DrupCheckResult rup = proof::check_trace_rup(f, r3);
 
     EXPECT_TRUE(df.ok) << df.error;
     EXPECT_TRUE(bf.ok) << bf.error;
     EXPECT_TRUE(dr.ok) << dr.error;
+    EXPECT_TRUE(rup.ok) << rup.error;
 
     // Stats agreement between the trace-replaying backends.
     EXPECT_EQ(df.stats.total_derivations, bf.stats.total_derivations);

@@ -112,6 +112,40 @@ TEST(Drup, UnterminatedLineRejected) {
   EXPECT_NE(res.error.find("terminated"), std::string::npos);
 }
 
+TEST(Drup, PinnedStatsOnPigeonhole7) {
+  // Pinned: a change to the shared RUP/DRUP engine must not move these.
+  const Formula f = encode::pigeonhole(7);
+  std::istringstream in(solve_drup(f));
+  const DrupCheckResult res = check_drup(f, in);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.clauses_checked, 4361u);
+  EXPECT_EQ(res.deletions, 2001u);
+  EXPECT_EQ(res.propagations, 146072u);
+}
+
+TEST(Drup, DeletionsAreHonoured) {
+  // (x1) & (-x1 | x2) & (-x2): once (x1) is deleted the empty clause is no
+  // longer RUP, and neither is re-adding (x1). Exercises the lazy prefix
+  // rebuild after a deletion.
+  Formula f(2);
+  f.add_clause({Lit::pos(0)});
+  f.add_clause({Lit::neg(0), Lit::pos(1)});
+  f.add_clause({Lit::neg(1)});
+  const auto check = [&f](const std::string& proof) {
+    std::istringstream in(proof);
+    return check_drup(f, in);
+  };
+  const DrupCheckResult plain = check("0\n");
+  EXPECT_TRUE(plain.ok) << plain.error;
+  for (const std::string proof : {"d 1 0\n0\n", "d 1 0\n1 0\n0\n"}) {
+    const DrupCheckResult res = check(proof);
+    EXPECT_FALSE(res.ok) << proof;
+    EXPECT_NE(res.error.find("not RUP"), std::string::npos) << res.error;
+    EXPECT_EQ(res.deletions, 1u) << proof;
+    EXPECT_EQ(res.clauses_checked, 0u) << proof;
+  }
+}
+
 class DrupSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DrupSweep, RandomUnsatInstancesVerify) {

@@ -32,7 +32,7 @@ TEST(Rup, AcceptsSuiteProofs) {
   for (const auto& inst : encode::unsat_suite(encode::SuiteScale::Small)) {
     const Solved su = solve_unsat(inst.formula);
     trace::MemoryTraceReader r(su.trace);
-    const RupResult res = check_trace_rup(su.formula, r);
+    const checker::DrupCheckResult res = check_trace_rup(su.formula, r);
     EXPECT_TRUE(res.ok) << inst.name << ": " << res.error;
     // Note: propagations may legitimately be zero when the persistent
     // prefix alone already settles every check (propagation-dominated
@@ -45,11 +45,22 @@ TEST(Rup, ChecksEveryDerivedClause) {
   const Solved su = solve_unsat(encode::pigeonhole(5));
   trace::MemoryTraceReader r1(su.trace);
   const ProofDag dag = extract_proof(su.formula, r1);
-  const RupResult res = check_rup(su.formula, dag);
+  const checker::DrupCheckResult res = check_rup(su.formula, dag);
   ASSERT_TRUE(res.ok) << res.error;
   std::size_t derived = 0;
   for (const auto& n : dag.nodes) derived += n.sources.empty() ? 0 : 1;
   EXPECT_EQ(res.clauses_checked, derived);
+}
+
+TEST(Rup, PinnedStatsOnPigeonhole7) {
+  // Pinned: a change to the shared RUP/DRUP engine must not move these.
+  const Solved su = solve_unsat(encode::pigeonhole(7));
+  trace::MemoryTraceReader r(su.trace);
+  const checker::DrupCheckResult res = check_trace_rup(su.formula, r);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.clauses_checked, 4297u);
+  EXPECT_EQ(res.propagations, 133486u);
+  EXPECT_EQ(res.deletions, 0u);
 }
 
 TEST(Rup, RejectsWeakenedDerivedClause) {
@@ -68,7 +79,7 @@ TEST(Rup, RejectsWeakenedDerivedClause) {
     break;
   }
   ASSERT_TRUE(corrupted);
-  const RupResult res = check_rup(su.formula, dag);
+  const checker::DrupCheckResult res = check_rup(su.formula, dag);
   // The flipped clause is (almost surely) not RUP at its position; if the
   // flip happened to produce an implied clause, downstream nodes relying on
   // the original would fail instead. Either way: rejection.
@@ -87,7 +98,7 @@ TEST(Rup, RejectsForeignLeaf) {
       break;
     }
   }
-  const RupResult res = check_rup(su.formula, dag);
+  const checker::DrupCheckResult res = check_rup(su.formula, dag);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("leaf"), std::string::npos);
 }
@@ -97,7 +108,7 @@ TEST(Rup, TrivialEmptyClauseFormula) {
   f.add_clause(std::initializer_list<Lit>{});
   const Solved su = solve_unsat(std::move(f));
   trace::MemoryTraceReader r(su.trace);
-  const RupResult res = check_trace_rup(su.formula, r);
+  const checker::DrupCheckResult res = check_trace_rup(su.formula, r);
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -113,7 +124,7 @@ TEST(Rup, AssumptionRefutationsAreRup) {
   ASSERT_EQ(s.solve(assume), solver::SolveResult::Unsatisfiable);
   const trace::MemoryTrace t = w.take();
   trace::MemoryTraceReader r(t);
-  const RupResult res = check_trace_rup(f, r);
+  const checker::DrupCheckResult res = check_trace_rup(f, r);
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -127,7 +138,7 @@ TEST(Rup, SatTraceRejectedGracefully) {
   ASSERT_EQ(s.solve(), solver::SolveResult::Satisfiable);
   const trace::MemoryTrace t = w.take();
   trace::MemoryTraceReader r(t);
-  const RupResult res = check_trace_rup(f, r);
+  const checker::DrupCheckResult res = check_trace_rup(f, r);
   EXPECT_FALSE(res.ok);
   EXPECT_FALSE(res.error.empty());
 }
@@ -147,7 +158,7 @@ TEST_P(RupSweep, AgreesWithResolutionCheckingOnRandomUnsat) {
     if (s.solve() != solver::SolveResult::Unsatisfiable) continue;
     const trace::MemoryTrace t = w.take();
     trace::MemoryTraceReader r(t);
-    const RupResult res = check_trace_rup(f, r);
+    const checker::DrupCheckResult res = check_trace_rup(f, r);
     EXPECT_TRUE(res.ok) << res.error;
   }
 }

@@ -611,7 +611,9 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   const bool use_bf = args.take_flag("--bf");
   const bool use_hybrid = args.take_flag("--hybrid");
   const bool use_rup = args.take_flag("--rup");
-  const bool binary = args.take_flag("--binary");
+  // Binary traces are detected by their magic; --binary stays accepted as a
+  // no-op for compatibility.
+  args.take_flag("--binary");
   bool want_stats = args.take_flag("--stats");
   bool stats_json = false;
   if (const auto v = args.take_option("--stats")) {
@@ -648,19 +650,17 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   util::Timer timer;
   if (mode == "rup") {
     const Formula f = dimacs::parse_file(cnf_path);
-    std::ifstream in(trace_path,
-                     binary ? std::ios::in | std::ios::binary : std::ios::in);
-    if (!in) throw CliError("cannot open trace file " + trace_path);
+    std::ifstream in;
     std::unique_ptr<trace::TraceReader> reader;
-    if (binary) {
-      // Regular files go through the zero-copy mmap byte source; the stream
-      // above only validated that the trace exists and is readable.
-      in.close();
+    if (trace::is_binary_trace(trace_path)) {
       reader = trace::open_binary_trace_file(trace_path);
     } else {
-      reader = open_trace_reader(in, false);
+      in.open(trace_path);
+      if (!in) throw CliError("cannot open trace file " + trace_path);
+      reader = std::make_unique<trace::AsciiTraceReader>(in);
     }
-    const proof::RupResult result = proof::check_trace_rup(f, *reader);
+    const checker::DrupCheckResult result =
+        proof::check_trace_rup(f, *reader);
     if (result.ok) {
       out << "VERIFIED (RUP): " << result.clauses_checked
           << " derived clauses re-derived by unit propagation ("
@@ -674,11 +674,10 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
 
   // The replay backends go through the same dispatch as the service daemon,
   // so a CLI verdict and a `satproof submit` verdict come from one code path.
-  // Binary traces are detected by their magic; --binary stays accepted as a
-  // no-op for compatibility. With both --checker=auto and --mem-limit the
-  // backend is picked from the budget and the declared trace size
-  // (select_backend_for_budget); run_check then re-applies the same cap to
-  // explicit df requests. hybrid is window over one unbounded window.
+  // With both --checker=auto and --mem-limit the backend is picked from the
+  // budget and the declared trace size (select_backend_for_budget);
+  // run_check then re-applies the same cap to explicit df requests. hybrid
+  // is window over one unbounded window.
   service::Backend backend;
   if (mode == "auto" && mem_limit != 0) {
     std::ifstream in(trace_path,
