@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: resolution
 // (reference sorted-merge vs the marker-based ChainResolver), solver BCP,
-// trace codecs, and CNF parsing.
+// trace codecs, and DIMACS and DRUP parsing.
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "src/checker/drup.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/circuit/miter.hpp"
@@ -14,7 +17,9 @@
 #include "src/encode/pigeonhole.hpp"
 #include "src/encode/random_ksat.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/drup.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/temp_file.hpp"
 #include "src/util/varint.hpp"
 
 namespace {
@@ -147,6 +152,74 @@ void BM_DimacsParse(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_DimacsParse);
+
+/// A gen_bigtrace-shaped CNF (~8 MB): 4 ladders of 65536 rungs, each a
+/// unit on rung 0 plus binary implications up and down every adjacent
+/// pair, a join clause and its negated output. Written once per process.
+const std::string& ladder_cnf_path() {
+  static const util::TempFile file = [] {
+    constexpr std::int64_t kLadders = 4, kRungs = 1 << 16;
+    const auto rung = [](std::int64_t w, std::int64_t i) {
+      return w * kRungs + i + 1;
+    };
+    const std::int64_t z = kLadders * kRungs + 1;
+    util::TempFile tmp("ladder_cnf");
+    std::ofstream out(tmp.path());
+    out << "p cnf " << z << ' ' << kLadders * (2 * kRungs - 1) + 2 << '\n';
+    for (std::int64_t w = 0; w < kLadders; ++w) {
+      out << rung(w, 0) << " 0\n";
+      for (std::int64_t i = 0; i + 1 < kRungs; ++i) {
+        out << -rung(w, i) << ' ' << rung(w, i + 1) << " 0\n";
+        out << -rung(w, i + 1) << ' ' << rung(w, i) << " 0\n";
+      }
+    }
+    for (std::int64_t w = 0; w < kLadders; ++w) {
+      out << -rung(w, kRungs - 1) << ' ';
+    }
+    out << z << " 0\n-" << z << " 0\n";
+    return tmp;
+  }();
+  static const std::string path = file.path().string();
+  return path;
+}
+
+void BM_DimacsParseFile(benchmark::State& state) {
+  const std::string& path = ladder_cnf_path();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dimacs::parse_file(path).num_clauses());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+}
+BENCHMARK(BM_DimacsParseFile)->Unit(benchmark::kMillisecond);
+
+void BM_DrupParse(benchmark::State& state) {
+  // php8's DRUP proof with one unterminated line appended: check_drup
+  // parses every line and then rejects before indexing or replay, so the
+  // loop times the parse stage alone.
+  static const std::string proof = [] {
+    std::ostringstream out;
+    trace::DrupWriter w(out);
+    solver::Solver s;
+    s.add_formula(encode::pigeonhole(8));
+    s.set_drup_writer(&w);
+    (void)s.solve();
+    return out.str() + "1\n";
+  }();
+  const Formula f = encode::pigeonhole(8);
+  for (auto _ : state) {
+    std::istringstream in(proof);
+    const checker::DrupCheckResult res = checker::check_drup(f, in);
+    if (res.error != "DRUP line not terminated by 0: '1'") {
+      state.SkipWithError("unexpected DRUP outcome");
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(proof.size()));
+}
+BENCHMARK(BM_DrupParse)->Unit(benchmark::kMillisecond);
 
 void BM_TseitinMultiplierMiter(benchmark::State& state) {
   for (auto _ : state) {

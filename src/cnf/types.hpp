@@ -25,6 +25,13 @@ using ClauseId = std::uint64_t;
 inline constexpr ClauseId kInvalidClauseId =
     std::numeric_limits<ClauseId>::max();
 
+/// Largest variable a Lit can encode. The negative literal of the next
+/// variable, 2^31 - 1, would collide with Lit::invalid(), and anything
+/// beyond wraps the 32-bit code onto a small variable. Readers of DIMACS
+/// text reject larger variables (DIMACS index kMaxVar + 1 = 2^31 - 1)
+/// instead of letting Lit::from_dimacs wrap them.
+inline constexpr Var kMaxVar = (Var{1} << 31) - 2;
+
 /// A literal: a variable together with a phase.
 ///
 /// Encoded as `2*var + sign` where sign 1 means negated. The encoding
@@ -80,7 +87,15 @@ class Lit {
     return negated() ? -v : v;
   }
 
-  /// Parses a signed DIMACS integer (non-zero) into a literal.
+  /// True when `d` is a non-zero DIMACS literal whose variable is at most
+  /// kMaxVar, i.e. one that from_dimacs converts without wrapping.
+  [[nodiscard]] static constexpr bool dimacs_in_range(std::int64_t d) {
+    constexpr std::int64_t kMax = std::int64_t{kMaxVar} + 1;
+    return d != 0 && d >= -kMax && d <= kMax;
+  }
+
+  /// Parses a signed DIMACS integer into a literal; `d` must satisfy
+  /// dimacs_in_range.
   [[nodiscard]] static constexpr Lit from_dimacs(std::int64_t d) {
     const auto v = static_cast<Var>((d < 0 ? -d : d) - 1);
     return Lit(v, d < 0);

@@ -99,8 +99,11 @@ void MmapByteSource::release(std::uint64_t pos, std::uint64_t len) {
   std::uint64_t end = pos + len < size_ ? pos + len : size_;
   end = end / kPage * kPage;
   if (begin >= end) return;
-  ::posix_madvise(const_cast<std::uint8_t*>(base_) + begin,
-                  static_cast<std::size_t>(end - begin), POSIX_MADV_DONTNEED);
+  // madvise, not posix_madvise: glibc makes POSIX_MADV_DONTNEED a no-op.
+  // The mapping is private and never written, so dropped pages fault back
+  // in from the file unchanged.
+  ::madvise(const_cast<std::uint8_t*>(base_) + begin,
+            static_cast<std::size_t>(end - begin), MADV_DONTNEED);
 }
 
 #else  // !SATPROOF_HAVE_MMAP

@@ -47,8 +47,8 @@ class ByteSource {
 
   /// Advises that bytes [pos, pos + len) will not be needed again soon.
   /// A memory-mapped source drops the backing pages from RSS
-  /// (POSIX_MADV_DONTNEED); re-reading them later just faults them back
-  /// in. Purely advisory — the default is a no-op and pointers from a
+  /// (MADV_DONTNEED); re-reading them later just faults them back in.
+  /// Purely advisory — the default is a no-op and pointers from a
   /// *current* window stay valid regardless.
   virtual void release(std::uint64_t pos, std::uint64_t len) {
     (void)pos;

@@ -265,6 +265,12 @@ TEST_F(CliTest, AssumeRejectsMalformedInput) {
   EXPECT_EQ(run({"solve", cnf(), "--assume", "0"}).exit_code, kExitError);
   EXPECT_EQ(run({"solve", cnf(), "--assume", "x"}).exit_code, kExitError);
   EXPECT_EQ(run({"solve", cnf(), "--assume", ""}).exit_code, kExitError);
+  // Unchecked, 2^31 + 1 wraps onto variable 1.
+  const CliRun wrapped = run({"solve", cnf(), "--assume", "2147483649"});
+  EXPECT_EQ(wrapped.exit_code, kExitError);
+  EXPECT_NE(wrapped.err.find("--assume literal out of range"),
+            std::string::npos)
+      << wrapped.err;
 }
 
 TEST_F(CliTest, SimplifySolveAndTraceCheck) {

@@ -369,6 +369,9 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
     std::int64_t d = 0;
     while (as >> d) {
       if (d == 0) throw CliError("--assume literals must be non-zero");
+      if (!Lit::dimacs_in_range(d)) {
+        throw CliError("--assume literal out of range");
+      }
       assumptions.push_back(Lit::from_dimacs(d));
     }
     if (!as.eof()) throw CliError("--assume expects DIMACS literals");
