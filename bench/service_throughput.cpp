@@ -164,8 +164,8 @@ int run(bool quick, const std::string& json_path) {
   const int jobs_per_client = quick ? 6 : 16;
 
   // Client-count sweep on a single worker: the historical baseline shape
-  // (pinned to one worker so the series stays comparable across the
-  // thread-pool -> sharded-worker-pool rearchitecture).
+  // (pinned to one worker so the series stays comparable across
+  // scheduler rewrites).
   std::vector<RunResult> runs;
   {
     util::TempFile socket_file{"svc-bench-sock"};

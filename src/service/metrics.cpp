@@ -99,10 +99,10 @@ void Metrics::on_certified(bool ok) {
   }
 }
 
-std::string Metrics::to_json(
-    std::size_t queue_depth, std::size_t queue_capacity,
-    std::size_t running_jobs,
-    const std::vector<ShardedJobQueue::ShardSnapshot>& shards) const {
+std::string Metrics::to_json(const JobQueue::Snapshot& queue,
+                             std::size_t queue_capacity,
+                             std::size_t running_jobs,
+                             unsigned workers) const {
   std::lock_guard lock(mutex_);
   util::JsonWriter w;
   w.begin_object();
@@ -130,34 +130,25 @@ std::string Metrics::to_json(
   w.key("queue");
   w.begin_object();
   w.key("depth");
-  w.value(static_cast<std::uint64_t>(queue_depth));
+  w.value(static_cast<std::uint64_t>(queue.depth()));
   w.key("capacity");
   w.value(static_cast<std::uint64_t>(queue_capacity));
   w.key("running");
   w.value(static_cast<std::uint64_t>(running_jobs));
+  w.key("depth_fast");
+  w.value(static_cast<std::uint64_t>(queue.depth_fast));
+  w.key("depth_bulk");
+  w.value(static_cast<std::uint64_t>(queue.depth_bulk));
+  w.key("enqueued_fast");
+  w.value(queue.enqueued_fast);
+  w.key("enqueued_bulk");
+  w.value(queue.enqueued_bulk);
   w.end_object();
 
   w.key("workers");
   w.begin_object();
   w.key("count");
-  w.value(static_cast<std::uint64_t>(shards.size()));
-  w.key("shards");
-  w.begin_array();
-  for (const auto& s : shards) {
-    w.begin_object();
-    w.key("depth_fast");
-    w.value(static_cast<std::uint64_t>(s.depth_fast));
-    w.key("depth_bulk");
-    w.value(static_cast<std::uint64_t>(s.depth_bulk));
-    w.key("enqueued_fast");
-    w.value(s.enqueued_fast);
-    w.key("enqueued_bulk");
-    w.value(s.enqueued_bulk);
-    w.key("steals");
-    w.value(s.steals);
-    w.end_object();
-  }
-  w.end_array();
+  w.value(static_cast<std::uint64_t>(workers));
   w.end_object();
 
   w.key("protocol");
@@ -249,23 +240,23 @@ void prom_labeled(std::string& out, const char* name, const char* backend,
   prom_value(out, v);
 }
 
-/// Emits `name{labels} value` where `labels` is a preformatted label body
-/// (e.g. `worker="0",lane="fast"`).
-void prom_labeled_raw(std::string& out, const char* name,
-                      const std::string& labels, double v) {
+/// Emits `name{lane="fast"} fast` and `name{lane="bulk"} bulk`.
+void prom_lanes(std::string& out, const char* name, double fast,
+                double bulk) {
   out += name;
-  out += '{';
-  out += labels;
-  out += "} ";
-  prom_value(out, v);
+  out += "{lane=\"fast\"} ";
+  prom_value(out, fast);
+  out += name;
+  out += "{lane=\"bulk\"} ";
+  prom_value(out, bulk);
 }
 
 }  // namespace
 
-std::string Metrics::to_prometheus(
-    std::size_t queue_depth, std::size_t queue_capacity,
-    std::size_t running_jobs,
-    const std::vector<ShardedJobQueue::ShardSnapshot>& shards) const {
+std::string Metrics::to_prometheus(const JobQueue::Snapshot& queue,
+                                   std::size_t queue_capacity,
+                                   std::size_t running_jobs,
+                                   unsigned workers) const {
   std::string out;
   {
     std::lock_guard lock(mutex_);
@@ -303,49 +294,25 @@ std::string Metrics::to_prometheus(
                 "Largest clause-arena peak observed over completed jobs.",
                 "gauge", static_cast<double>(arena_peak_bytes_));
     prom_sample(out, "satproofd_queue_depth", "Jobs waiting in the queue.",
-                "gauge", static_cast<double>(queue_depth));
+                "gauge", static_cast<double>(queue.depth()));
     prom_sample(out, "satproofd_queue_capacity",
                 "Configured queue capacity.", "gauge",
                 static_cast<double>(queue_capacity));
     prom_sample(out, "satproofd_running_jobs",
                 "Jobs currently executing.", "gauge",
                 static_cast<double>(running_jobs));
-
-    prom_sample(out, "satproofd_workers",
-                "Checker worker threads (one queue shard each).", "gauge",
-                static_cast<double>(shards.size()));
-    prom_header(out, "satproofd_worker_queue_depth",
-                "Jobs waiting in one worker's shard, by priority lane.",
-                "gauge");
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      const std::string w = std::to_string(i);
-      prom_labeled_raw(out, "satproofd_worker_queue_depth",
-                       "worker=\"" + w + "\",lane=\"fast\"",
-                       static_cast<double>(shards[i].depth_fast));
-      prom_labeled_raw(out, "satproofd_worker_queue_depth",
-                       "worker=\"" + w + "\",lane=\"bulk\"",
-                       static_cast<double>(shards[i].depth_bulk));
-    }
-    prom_header(out, "satproofd_worker_steals_total",
-                "Jobs a worker obtained by stealing from another shard.",
-                "counter");
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      prom_labeled_raw(out, "satproofd_worker_steals_total",
-                       "worker=\"" + std::to_string(i) + "\"",
-                       static_cast<double>(shards[i].steals));
-    }
+    prom_sample(out, "satproofd_workers", "Checker worker threads.", "gauge",
+                static_cast<double>(workers));
+    prom_header(out, "satproofd_lane_queue_depth",
+                "Jobs waiting in the queue, by priority lane.", "gauge");
+    prom_lanes(out, "satproofd_lane_queue_depth",
+               static_cast<double>(queue.depth_fast),
+               static_cast<double>(queue.depth_bulk));
     prom_header(out, "satproofd_lane_jobs_enqueued_total",
                 "Jobs admitted, by priority lane.", "counter");
-    std::uint64_t lane_fast = 0;
-    std::uint64_t lane_bulk = 0;
-    for (const auto& s : shards) {
-      lane_fast += s.enqueued_fast;
-      lane_bulk += s.enqueued_bulk;
-    }
-    prom_labeled_raw(out, "satproofd_lane_jobs_enqueued_total",
-                     "lane=\"fast\"", static_cast<double>(lane_fast));
-    prom_labeled_raw(out, "satproofd_lane_jobs_enqueued_total",
-                     "lane=\"bulk\"", static_cast<double>(lane_bulk));
+    prom_lanes(out, "satproofd_lane_jobs_enqueued_total",
+               static_cast<double>(queue.enqueued_fast),
+               static_cast<double>(queue.enqueued_bulk));
 
     prom_header(out, "satproofd_backend_jobs_completed_total",
                 "Jobs completed, by checker backend.", "counter");

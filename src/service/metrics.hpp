@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "src/service/job_queue.hpp"
 #include "src/service/run_check.hpp"
@@ -39,7 +38,7 @@ class LatencyHistogram {
 
 /// Live counters of one server instance. All mutators are internally
 /// synchronized; to_json takes a consistent snapshot under the same lock.
-/// The queue depth/running gauges are owned by the scheduler and passed in
+/// The queue and running gauges are owned by the scheduler and passed in
 /// at snapshot time (the metrics object has no back-pointer to the queue).
 class Metrics {
  public:
@@ -60,21 +59,21 @@ class Metrics {
   void on_certified(bool ok);
 
   /// Structured snapshot: jobs accepted/rejected/completed/failed,
-  /// per-backend latency percentiles, queue gauges, arena peak, and one
-  /// entry per worker shard (lane depths, cumulative lane admissions,
-  /// steal count). The shard snapshots are owned by the scheduler and
-  /// passed in at snapshot time, like the queue gauges.
-  [[nodiscard]] std::string to_json(
-      std::size_t queue_depth, std::size_t queue_capacity,
-      std::size_t running_jobs,
-      const std::vector<ShardedJobQueue::ShardSnapshot>& shards) const;
+  /// per-backend latency percentiles, queue gauges (total and per-lane
+  /// depth, cumulative lane admissions), worker count and arena peak.
+  /// The queue snapshot is owned by the scheduler and passed in at
+  /// snapshot time.
+  [[nodiscard]] std::string to_json(const JobQueue::Snapshot& queue,
+                                    std::size_t queue_capacity,
+                                    std::size_t running_jobs,
+                                    unsigned workers) const;
 
   /// The same snapshot in Prometheus text exposition format
   /// (`satproofd_*` series plus the process-wide obs::MetricsRegistry).
-  [[nodiscard]] std::string to_prometheus(
-      std::size_t queue_depth, std::size_t queue_capacity,
-      std::size_t running_jobs,
-      const std::vector<ShardedJobQueue::ShardSnapshot>& shards) const;
+  [[nodiscard]] std::string to_prometheus(const JobQueue::Snapshot& queue,
+                                          std::size_t queue_capacity,
+                                          std::size_t running_jobs,
+                                          unsigned workers) const;
 
  private:
   struct BackendCounters {

@@ -109,8 +109,7 @@ Server::Server(ServerOptions options)
       worker_count_(options_.workers != 0
                         ? options_.workers
                         : std::max(1u, std::thread::hardware_concurrency())),
-      queue_(worker_count_,
-             options_.queue_capacity == 0 ? 1 : options_.queue_capacity) {}
+      queue_(options_.queue_capacity == 0 ? 1 : options_.queue_capacity) {}
 
 Server::~Server() {
   bool need_drain = false;
@@ -152,7 +151,7 @@ void Server::start() {
   }
   workers_.reserve(worker_count_);
   for (unsigned w = 0; w < worker_count_; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
+    workers_.emplace_back([this] { worker_main(); });
   }
   io_thread_ = std::jthread([this] { io_loop(); });
 }
@@ -168,23 +167,14 @@ void Server::drain_and_wait() {
   wait_until_drained();
 }
 
-std::vector<ShardedJobQueue::ShardSnapshot> Server::shard_snapshots() const {
-  std::vector<ShardedJobQueue::ShardSnapshot> out;
-  out.reserve(queue_.shards());
-  for (unsigned i = 0; i < queue_.shards(); ++i) {
-    out.push_back(queue_.shard_snapshot(i));
-  }
-  return out;
-}
-
 std::string Server::metrics_json() const {
-  return metrics_.to_json(queue_.depth(), queue_.capacity(),
-                          running_jobs_.load(), shard_snapshots());
+  return metrics_.to_json(queue_.snapshot(), queue_.capacity(),
+                          running_jobs_.load(), worker_count_);
 }
 
 std::string Server::metrics_prometheus() const {
-  return metrics_.to_prometheus(queue_.depth(), queue_.capacity(),
-                                running_jobs_.load(), shard_snapshots());
+  return metrics_.to_prometheus(queue_.snapshot(), queue_.capacity(),
+                                running_jobs_.load(), worker_count_);
 }
 
 // ----------------------------------------------------------------------
@@ -492,9 +482,7 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
 
       QueuedJob job;
       job.request = std::move(request);
-      job.lane = effective_bytes >= options_.bulk_threshold_bytes
-                     ? Lane::kBulk
-                     : Lane::kFast;
+      job.lane = lane_for_bytes(effective_bytes);
       const std::uint64_t conn_key = conn.key;
       job.on_done = [this, conn_key, job_id, wait, certify](
                         JobOutcome outcome, bool timed_out) {
@@ -529,16 +517,15 @@ bool Server::handle_frame(Connection& conn, Frame& frame) {
         completion_pipe_.notify();
       };
 
-      const ShardedJobQueue::EnqueueResult res =
-          queue_.try_enqueue(std::move(job));
+      const JobQueue::EnqueueResult res = queue_.try_enqueue(std::move(job));
 
-      if (res == ShardedJobQueue::EnqueueResult::kClosed) {
+      if (res == JobQueue::EnqueueResult::kClosed) {
         queue_output(conn, FrameTag::kError,
                      encode_error(ErrorCode::kDraining,
                                   "server is draining; job refused"));
         return false;
       }
-      if (res == ShardedJobQueue::EnqueueResult::kFull) {
+      if (res == JobQueue::EnqueueResult::kFull) {
         metrics_.on_rejected_busy();
         std::vector<std::uint8_t> payload;
         append_u32le(payload, static_cast<std::uint32_t>(queue_.capacity()));
@@ -657,12 +644,12 @@ void Server::sweep_idle(std::uint64_t now_us) {
 // Worker pool
 // ----------------------------------------------------------------------
 
-void Server::worker_main(unsigned worker) {
+void Server::worker_main() {
   // One arena per worker, reused across every job this worker runs:
   // concurrent checks never contend on clause allocation, and steady
   // traffic recycles chunk memory instead of round-tripping malloc.
   util::ClauseArena arena;
-  while (auto job = queue_.pop_blocking(worker)) {
+  while (auto job = queue_.pop_blocking()) {
     execute_job(std::move(*job), arena);
   }
 }

@@ -14,7 +14,7 @@
 #include "src/service/metrics.hpp"
 #include "src/service/protocol.hpp"
 #include "src/util/arena.hpp"
-#include "src/util/epoll.hpp"
+#include "src/util/poller.hpp"
 #include "src/util/socket.hpp"
 
 namespace satproof::service {
@@ -39,9 +39,6 @@ struct ServerOptions {
   /// (one block per slow job) and bump the slow-job counter. 0 disables
   /// per-job span collection entirely.
   std::uint32_t slow_job_ms = 0;
-  /// Upload size (declared, or measured when undeclared) at which a job
-  /// is scheduled on the bulk lane instead of the fast lane.
-  std::uint64_t bulk_threshold_bytes = kBulkLaneThresholdBytes;
   /// Run the trusted kernel over every certificate emitted for a certify
   /// job before reporting success (`satproof serve --certify`). A kernel
   /// REJECT turns the job into an error outcome — the service never ships
@@ -57,17 +54,17 @@ struct ServerOptions {
 
 /// The satproofd daemon: accepts proof-checking jobs over the framed
 /// protocol (src/service/protocol.hpp), streams uploads to temp files,
-/// schedules checking runs on a sharded work-stealing worker pool behind
-/// a bounded two-lane queue, and serves live metrics.
+/// runs checking jobs on a worker pool fed by one bounded two-lane FIFO
+/// queue, and serves live metrics.
 ///
-/// Threading: ONE I/O thread runs an EventPoller (epoll on Linux) over
-/// the listeners, a drain pipe, a completion pipe, and every live
+/// Threading: ONE I/O thread runs a poll(2) EventPoller over the
+/// listeners, a drain pipe, a completion pipe, and every live
 /// connection — all non-blocking, so a slow or stalled uploader costs a
 /// buffer, never a thread, and dead connections are reaped the moment
-/// they close. N worker threads (one queue shard + one recycled
-/// ClauseArena each) pull jobs fast-lane-first from their own shard and
-/// steal from others when idle; finished results travel back to the I/O
-/// thread over the completion pipe for non-blocking delivery.
+/// they close. N worker threads (one recycled ClauseArena each) take
+/// jobs from the shared queue, fast lane first and oldest first within
+/// a lane; finished results travel back to the I/O thread over the
+/// completion pipe for non-blocking delivery.
 /// Ingestion never buffers a whole trace in memory — upload chunks go
 /// straight to disk, and the checkers then read the file through the mmap
 /// ByteSource path.
@@ -142,10 +139,8 @@ class Server {
   void begin_drain();
   [[nodiscard]] bool drain_complete() const;
 
-  void worker_main(unsigned worker);
+  void worker_main();
   void execute_job(QueuedJob job, util::ClauseArena& arena);
-  [[nodiscard]] std::vector<ShardedJobQueue::ShardSnapshot>
-  shard_snapshots() const;
 
   ServerOptions options_;
   unsigned worker_count_ = 1;
@@ -156,7 +151,7 @@ class Server {
   util::WakePipe completion_pipe_;  ///< worker -> I/O thread wakeup
 
   Metrics metrics_;
-  ShardedJobQueue queue_;
+  JobQueue queue_;
   std::atomic<std::size_t> running_jobs_{0};
   std::atomic<std::uint64_t> next_job_id_{1};
   std::atomic<bool> draining_{false};

@@ -339,6 +339,11 @@ TEST_F(CliTest, CheckerOptionSelectsBackend) {
   EXPECT_EQ(par.exit_code, kExitError);
   EXPECT_NE(par.err.find("--checker expects"), std::string::npos) << par.err;
   EXPECT_EQ(run({"check", "--jobs=4", cnf(), aux()}).exit_code, kExitError);
+  // serve's old --jobs alias of --workers is gone as well.
+  const CliRun serve = run({"serve", "--jobs", "2"});
+  EXPECT_EQ(serve.exit_code, kExitError);
+  EXPECT_NE(serve.err.find("unexpected argument '--jobs'"), std::string::npos)
+      << serve.err;
 }
 
 TEST_F(CliTest, SolveRejectsRetiredParallelCheck) {

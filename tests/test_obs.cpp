@@ -263,24 +263,29 @@ TEST(ObsMetrics, ServiceSnapshotExposesQueueBackendsAndCheckerCounters) {
   // first use by run_check; tests may run before any check).
   (void)CheckerCounters::get();
 
-  std::vector<service::ShardedJobQueue::ShardSnapshot> shards(2);
-  shards[0].depth_fast = 3;
-  shards[0].enqueued_fast = 4;
-  shards[1].steals = 2;
-  const std::string text = m.to_prometheus(/*queue_depth=*/3,
-                                           /*queue_capacity=*/64,
-                                           /*running_jobs=*/1, shards);
+  service::JobQueue::Snapshot queue;
+  queue.depth_fast = 3;
+  queue.depth_bulk = 1;
+  queue.enqueued_fast = 4;
+  queue.enqueued_bulk = 2;
+  const std::string text = m.to_prometheus(queue, /*queue_capacity=*/64,
+                                           /*running_jobs=*/1,
+                                           /*workers=*/2);
   expect_wellformed_prometheus(text);
-  EXPECT_NE(text.find("satproofd_queue_depth 3"), std::string::npos);
+  EXPECT_NE(text.find("satproofd_queue_depth 4"), std::string::npos);
   EXPECT_NE(text.find("satproofd_running_jobs 1"), std::string::npos);
   EXPECT_NE(text.find("satproofd_workers 2"), std::string::npos);
-  EXPECT_NE(text.find(
-                "satproofd_worker_queue_depth{worker=\"0\",lane=\"fast\"} 3"),
+  EXPECT_NE(text.find("satproofd_lane_queue_depth{lane=\"fast\"} 3"),
             std::string::npos);
-  EXPECT_NE(text.find("satproofd_worker_steals_total{worker=\"1\"} 2"),
+  EXPECT_NE(text.find("satproofd_lane_queue_depth{lane=\"bulk\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"fast\"} 4"),
             std::string::npos);
+  EXPECT_NE(text.find("satproofd_lane_jobs_enqueued_total{lane=\"bulk\"} 2"),
+            std::string::npos);
+  // One shared queue: no per-worker series, and nothing is stolen.
+  EXPECT_EQ(text.find("satproofd_worker_steals_total"), std::string::npos);
+  EXPECT_EQ(text.find("satproofd_worker_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("satproofd_jobs_completed_total 1"), std::string::npos);
   EXPECT_NE(text.find("satproofd_slow_jobs_total 1"), std::string::npos);
   EXPECT_NE(

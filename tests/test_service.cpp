@@ -453,8 +453,8 @@ TEST_F(ServiceE2E, ClosedConnectionsAreReapedWithoutNewAccepts) {
 }
 
 TEST_F(ServiceE2E, MultiWorkerServerMatchesDirectVerdicts) {
-  // Four workers, concurrent mixed-backend jobs: scheduling across shards
-  // (including steals) must never change a verdict.
+  // Four workers, concurrent mixed-backend jobs: which worker runs a job
+  // must never change its verdict.
   ServerOptions opts;
   opts.workers = 4;
   start_server(opts);
