@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: resolution
 // (reference sorted-merge vs the marker-based ChainResolver), solver BCP,
-// trace codecs, and DIMACS and DRUP parsing.
+// trace codecs, DIMACS and DRUP parsing, and the certificate kernel.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
+#include "src/cert/kernel.hpp"
+#include "src/cert/lrat_emitter.hpp"
+#include "src/checker/depth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/resolution.hpp"
 #include "src/cnf/dimacs.hpp"
@@ -18,6 +22,7 @@
 #include "src/encode/random_ksat.hpp"
 #include "src/solver/solver.hpp"
 #include "src/trace/drup.hpp"
+#include "src/trace/memory.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/temp_file.hpp"
 #include "src/util/varint.hpp"
@@ -220,6 +225,66 @@ void BM_DrupParse(benchmark::State& state) {
                           static_cast<std::int64_t>(proof.size()));
 }
 BENCHMARK(BM_DrupParse)->Unit(benchmark::kMillisecond);
+
+/// php8's CNF and its depth-first LRAT certificate, as text (cert[0]) and
+/// binary (cert[1]).
+struct KernelInput {
+  std::string cnf;
+  std::string cert[2];
+};
+
+const KernelInput& kernel_input() {
+  static const KernelInput input = [] {
+    KernelInput in;
+    const Formula f = encode::pigeonhole(8);
+    std::ostringstream cnf;
+    dimacs::write(cnf, f);
+    in.cnf = cnf.str();
+    solver::Solver s;
+    s.add_formula(f);
+    trace::MemoryTraceWriter trace_writer;
+    s.set_trace_writer(&trace_writer);
+    (void)s.solve();
+    const trace::MemoryTrace t = trace_writer.take();
+    for (int binary = 0; binary < 2; ++binary) {
+      std::ostringstream out;
+      std::unique_ptr<cert::LratWriter> w;
+      if (binary != 0) {
+        w = std::make_unique<cert::BinaryLratWriter>(out);
+      } else {
+        w = std::make_unique<cert::TextLratWriter>(out);
+      }
+      cert::LratEmitter emitter(*w, f.num_clauses());
+      trace::MemoryTraceReader r(t);
+      checker::DepthFirstOptions opts;
+      opts.observer = &emitter;
+      (void)checker::check_depth_first(f, r, opts);
+      in.cert[binary] = out.str();
+    }
+    return in;
+  }();
+  return input;
+}
+
+void BM_KernelVerify(benchmark::State& state) {
+  // The trusted kernel alone on php8 (Arg 0: text LRAT, 1: binary), both
+  // inputs read from in-memory streams as satproofd's certify post-check
+  // reads the certificate.
+  const KernelInput& in = kernel_input();
+  const std::string& cert = in.cert[state.range(0)];
+  for (auto _ : state) {
+    std::istringstream cnf(in.cnf);
+    std::istringstream lrat(cert);
+    if (!kern::verify_lrat(cnf, lrat).verified) {
+      state.SkipWithError("kernel rejected the php8 certificate");
+      break;
+    }
+  }
+  state.SetLabel(state.range(0) != 0 ? "binary" : "text");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cert.size()));
+}
+BENCHMARK(BM_KernelVerify)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TseitinMultiplierMiter(benchmark::State& state) {
   for (auto _ : state) {

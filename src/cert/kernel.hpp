@@ -14,6 +14,12 @@ namespace satproof::kern {
 // kernel re-derives unsatisfiability from the original CNF plus the
 // certificate's hints alone. tools/kernel_audit.py enforces the size and
 // dependency budget in CI.
+//
+// Memory: each input is read through one fixed 64 KiB block (plus a copy
+// of a line or token that straddles two blocks), never held whole. Clause
+// literals live in one flat pool; a deleted clause is marked dead but not
+// reclaimed, so the pool grows by 4 bytes per literal of the CNF and of
+// every addition.
 
 /// Outcome of a certificate check.
 struct VerifyResult {

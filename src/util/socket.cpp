@@ -40,14 +40,6 @@ void Socket::close() noexcept {
   }
 }
 
-void Socket::shutdown_both() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void Socket::shutdown_read() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 bool Socket::send_all(const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const std::uint8_t*>(data);
   while (n > 0) {
@@ -275,8 +267,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 void Socket::close() noexcept { fd_ = -1; }
-void Socket::shutdown_both() noexcept {}
-void Socket::shutdown_read() noexcept {}
 bool Socket::send_all(const void*, std::size_t) noexcept { return false; }
 std::ptrdiff_t Socket::recv_some(void*, std::size_t) noexcept { return -1; }
 std::size_t Socket::recv_exact(void*, std::size_t) noexcept { return 0; }

@@ -32,14 +32,6 @@ class Socket {
   /// Closes the descriptor (idempotent).
   void close() noexcept;
 
-  /// shutdown(2) both directions; errors ignored. Used to wake a peer (or
-  /// our own thread) blocked in recv.
-  void shutdown_both() noexcept;
-
-  /// shutdown(2) the read side only: wakes a thread blocked in recv while
-  /// leaving in-flight sends (e.g. a final result frame) intact.
-  void shutdown_read() noexcept;
-
   /// Writes all `n` bytes; returns false on any error (including a closed
   /// peer).
   bool send_all(const void* data, std::size_t n) noexcept;

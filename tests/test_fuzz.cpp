@@ -1,5 +1,6 @@
-// Robustness fuzzing: checkers and trace readers must survive arbitrary
-// corruption of trace bytes and of DIMACS and DRUP text — either accepting a
+// Robustness fuzzing: checkers, trace readers and the certificate kernel
+// must survive arbitrary corruption of trace bytes, of DIMACS and DRUP text
+// and of LRAT certificates — either accepting a
 // still-valid proof or rejecting with a diagnostic, but never crashing or
 // hanging. (A validation tool that can be crashed by the artifact it is
 // validating defeats its own purpose.)
@@ -9,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/cert/kernel.hpp"
+#include "src/cert/lrat_emitter.hpp"
 #include "src/checker/breadth_first.hpp"
 #include "src/checker/drup.hpp"
 #include "src/checker/depth_first.hpp"
@@ -19,6 +22,7 @@
 #include "src/trace/ascii.hpp"
 #include "src/trace/binary.hpp"
 #include "src/trace/drup.hpp"
+#include "src/trace/memory.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/temp_file.hpp"
 
@@ -255,6 +259,102 @@ TEST_P(DrupFuzz, CorruptedProofTextNeverCrashesChecker) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DrupFuzz, ::testing::Values(9, 10));
+
+/// php4's CNF and its depth-first LRAT certificate, text and binary.
+struct KernelBase {
+  std::string cnf;
+  std::string text;
+  std::string binary;
+};
+
+const KernelBase& kernel_base() {
+  static const KernelBase base = [] {
+    KernelBase b;
+    const Formula f = encode::pigeonhole(4);
+    std::ostringstream cnf;
+    dimacs::write(cnf, f);
+    b.cnf = cnf.str();
+    solver::Solver s;
+    s.add_formula(f);
+    trace::MemoryTraceWriter trace_writer;
+    s.set_trace_writer(&trace_writer);
+    EXPECT_EQ(s.solve(), solver::SolveResult::Unsatisfiable);
+    const trace::MemoryTrace t = trace_writer.take();
+    for (const bool binary : {false, true}) {
+      std::ostringstream out;
+      std::unique_ptr<cert::LratWriter> w;
+      if (binary) {
+        w = std::make_unique<cert::BinaryLratWriter>(out);
+      } else {
+        w = std::make_unique<cert::TextLratWriter>(out);
+      }
+      cert::LratEmitter emitter(*w, f.num_clauses());
+      trace::MemoryTraceReader r(t);
+      checker::DepthFirstOptions opts;
+      opts.observer = &emitter;
+      EXPECT_TRUE(checker::check_depth_first(f, r, opts).ok);
+      (binary ? b.binary : b.text) = out.str();
+    }
+    return b;
+  }();
+  return base;
+}
+
+/// Runs the kernel on one (possibly corrupt) input pair: it must return a
+/// verdict rather than throw, and a rejection must carry a diagnostic.
+/// Returns whether the pair verified.
+bool kernel_survives(const std::string& cnf, const std::string& cert) {
+  std::istringstream cnf_in(cnf);
+  std::istringstream cert_in(cert);
+  kern::VerifyResult r;
+  EXPECT_NO_THROW(r = kern::verify_lrat(cnf_in, cert_in))
+      << testing::PrintToString(cnf) << testing::PrintToString(cert);
+  if (!r.verified) {
+    EXPECT_FALSE(r.error.empty())
+        << testing::PrintToString(cnf) << testing::PrintToString(cert);
+  }
+  return r.verified;
+}
+
+class KernelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelFuzz, CorruptedTextInputsNeverCrashKernel) {
+  util::Rng rng(GetParam());
+  const KernelBase& base = kernel_base();
+  ASSERT_TRUE(kernel_survives(base.cnf, base.text));
+  int rejected = 0;
+  for (int round = 0; round < 160; ++round) {
+    // Alternate rounds corrupt the certificate and the CNF.
+    const bool corrupt_cnf = round % 2 == 1;
+    const bool ok =
+        corrupt_cnf ? kernel_survives(mutate_text(base.cnf, rng), base.text)
+                    : kernel_survives(base.cnf, mutate_text(base.text, rng));
+    if (!ok) ++rejected;
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+TEST_P(KernelFuzz, CorruptedBinaryCertificateNeverCrashesKernel) {
+  util::Rng rng(GetParam());
+  const KernelBase& base = kernel_base();
+  ASSERT_TRUE(kernel_survives(base.cnf, base.binary));
+  int rejected = 0;
+  for (int round = 0; round < 160; ++round) {
+    std::string corrupt = base.binary;
+    if (round % 4 == 3) {
+      corrupt.resize(static_cast<std::size_t>(rng.next_below(corrupt.size())));
+    } else {
+      for (auto n = 1 + rng.next_below(4); n > 0; --n) {
+        corrupt[rng.next_below(corrupt.size())] =
+            static_cast<char>(rng.next_below(256));
+      }
+    }
+    if (!kernel_survives(base.cnf, corrupt)) ++rejected;
+  }
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelFuzz, ::testing::Values(11, 12));
 
 }  // namespace
 }  // namespace satproof
