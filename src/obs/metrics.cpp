@@ -1,20 +1,25 @@
 #include "src/obs/metrics.hpp"
 
-#include <cmath>
 #include <cstdio>
 
-#include "src/util/json.hpp"
-
 namespace satproof::obs {
-namespace {
 
 /// Prometheus sample values are floats; counters here are u64, which stays
 /// exact up to 2^53 — plenty for span/resolution counts.
-void append_sample(std::string& out, const std::string& name, double value) {
+void append_sample(std::string& out, std::string_view name, double value,
+                   std::string_view label, std::string_view label_value) {
   out += name;
+  if (!label.empty()) {
+    out += '{';
+    out += label;
+    out += "=\"";
+    out += label_value;
+    out += "\"}";
+  }
   out += ' ';
-  if (value == static_cast<double>(static_cast<std::uint64_t>(value)) &&
-      value >= 0) {
+  // Range check first: casting a negative or >= 2^64 double to u64 is UB.
+  if (value >= 0 && value < 0x1p64 &&
+      value == static_cast<double>(static_cast<std::uint64_t>(value))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%llu",
                   static_cast<unsigned long long>(value));
@@ -27,8 +32,8 @@ void append_sample(std::string& out, const std::string& name, double value) {
   out += '\n';
 }
 
-void append_header(std::string& out, const std::string& name,
-                   const std::string& help, const char* type) {
+void append_header(std::string& out, std::string_view name,
+                   std::string_view help, std::string_view type) {
   out += "# HELP ";
   out += name;
   out += ' ';
@@ -39,8 +44,6 @@ void append_header(std::string& out, const std::string& name,
   out += type;
   out += '\n';
 }
-
-}  // namespace
 
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
@@ -57,30 +60,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
   return counters_.back();
 }
 
-void MetricsRegistry::register_gauge(const std::string& name,
-                                     const std::string& help,
-                                     std::function<double()> fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Gauge& g : gauges_) {
-    if (g.name == name) {
-      g.help = help;
-      g.fn = std::move(fn);
-      return;
-    }
-  }
-  gauges_.push_back(Gauge{name, help, std::move(fn)});
-}
-
-void MetricsRegistry::unregister_gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = gauges_.begin(); it != gauges_.end(); ++it) {
-    if (it->name == name) {
-      gauges_.erase(it);
-      return;
-    }
-  }
-}
-
 std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -88,27 +67,7 @@ std::string MetricsRegistry::render_prometheus() const {
     append_header(out, c.name(), c.help(), "counter");
     append_sample(out, c.name(), static_cast<double>(c.value()));
   }
-  for (const Gauge& g : gauges_) {
-    append_header(out, g.name, g.help, "gauge");
-    double v = g.fn ? g.fn() : 0.0;
-    if (!std::isfinite(v)) v = 0.0;
-    append_sample(out, g.name, v);
-  }
   return out;
-}
-
-void MetricsRegistry::to_json(util::JsonWriter& w) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Counter& c : counters_) {
-    w.key(c.name());
-    w.value(c.value());
-  }
-  for (const Gauge& g : gauges_) {
-    w.key(g.name);
-    double v = g.fn ? g.fn() : 0.0;
-    if (!std::isfinite(v)) v = 0.0;
-    w.value(v);
-  }
 }
 
 CheckerCounters& CheckerCounters::get() {

@@ -3,14 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <vector>
-
-namespace satproof::util {
-class JsonWriter;
-}
+#include <string_view>
 
 namespace satproof::obs {
 
@@ -37,8 +32,8 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Process-global registry of counters and callback gauges, serialized by
-/// `satproof check --stats=json` and by satproofd's Prometheus endpoint.
+/// Process-global registry of checker counters, rendered by satproofd's
+/// Prometheus endpoint after its own `satproofd_*` series.
 ///
 /// Counter names follow Prometheus conventions: `snake_case`, a
 /// `satproof_` prefix, `_total` suffix for counters, unit suffixes
@@ -51,29 +46,25 @@ class MetricsRegistry {
   /// for the process lifetime — cache it, don't re-look-up on hot paths.
   Counter& counter(const std::string& name, const std::string& help);
 
-  /// Registers a gauge whose value is sampled at render time. Re-using a
-  /// name replaces the callback (e.g. a restarted server).
-  void register_gauge(const std::string& name, const std::string& help,
-                      std::function<double()> fn);
-  void unregister_gauge(const std::string& name);
-
   /// Prometheus text exposition (HELP/TYPE comments + samples).
   [[nodiscard]] std::string render_prometheus() const;
 
-  /// Emits `"name":value` pairs into an already-open JSON object.
-  void to_json(util::JsonWriter& w) const;
-
  private:
-  struct Gauge {
-    std::string name;
-    std::string help;
-    std::function<double()> fn;
-  };
-
   mutable std::mutex mu_;
   std::deque<Counter> counters_;  // deque: stable addresses on growth
-  std::vector<Gauge> gauges_;
 };
+
+/// Prometheus text exposition, shared by the registry and satproofd's
+/// metrics. Appends the `# HELP` and `# TYPE` lines of one metric family.
+void append_header(std::string& out, std::string_view name,
+                   std::string_view help, std::string_view type);
+
+/// Appends one sample line, `name value`, or `name{label="value"} value`
+/// when `label` is non-empty. Whole non-negative values print as integers,
+/// anything else with `%.17g`.
+void append_sample(std::string& out, std::string_view name, double value,
+                   std::string_view label = {},
+                   std::string_view label_value = {});
 
 /// Well-known counters bumped by the checking paths. Grouped here so the
 /// names stay consistent between backends, docs, and tests.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/obs/metrics.hpp"
 #include "src/util/json.hpp"
@@ -40,8 +39,10 @@ double LatencyHistogram::percentile_ms(double p) const {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     seen += buckets_[i];
     if (seen >= rank && rank > 0) {
-      // Upper bound of bucket i: 2^(i+1) microseconds.
-      return std::ldexp(1.0, static_cast<int>(i) + 1) / 1e3;
+      // Upper bound of bucket i, 2^(i+1) microseconds; no sample exceeds
+      // the recorded maximum.
+      return std::min(std::ldexp(1.0, static_cast<int>(i) + 1) / 1e3,
+                      max_ms_);
     }
   }
   return max_ms_;
@@ -196,156 +197,114 @@ std::string Metrics::to_json(const JobQueue::Snapshot& queue,
   return w.take();
 }
 
-namespace {
-
-void prom_header(std::string& out, const char* name, const char* help,
-                 const char* type) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
-void prom_value(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<std::uint64_t>(v)) && v >= 0) {
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-  out += '\n';
-}
-
-void prom_sample(std::string& out, const char* name, const char* help,
-                 const char* type, double v) {
-  prom_header(out, name, help, type);
-  out += name;
-  out += ' ';
-  prom_value(out, v);
-}
-
-void prom_labeled(std::string& out, const char* name, const char* backend,
-                  double v) {
-  out += name;
-  out += "{backend=\"";
-  out += backend;
-  out += "\"} ";
-  prom_value(out, v);
-}
-
-/// Emits `name{lane="fast"} fast` and `name{lane="bulk"} bulk`.
-void prom_lanes(std::string& out, const char* name, double fast,
-                double bulk) {
-  out += name;
-  out += "{lane=\"fast\"} ";
-  prom_value(out, fast);
-  out += name;
-  out += "{lane=\"bulk\"} ";
-  prom_value(out, bulk);
-}
-
-}  // namespace
-
 std::string Metrics::to_prometheus(const JobQueue::Snapshot& queue,
                                    std::size_t queue_capacity,
                                    std::size_t running_jobs,
                                    unsigned workers) const {
+  struct Series {
+    const char* name;
+    const char* help;
+    const char* type;
+    double value;
+  };
+  struct Labeled {
+    const char* name;
+    const char* help;
+    const char* type;
+    double (*value)(const BackendCounters&);
+  };
   std::string out;
   {
     std::lock_guard lock(mutex_);
-    prom_sample(out, "satproofd_connections_total",
-                "Client connections accepted.", "counter",
-                static_cast<double>(connections_));
-    prom_sample(out, "satproofd_malformed_frames_total",
-                "Protocol frames rejected as malformed.", "counter",
-                static_cast<double>(malformed_frames_));
-    prom_sample(out, "satproofd_jobs_accepted_total",
-                "Jobs admitted to the queue.", "counter",
-                static_cast<double>(accepted_));
-    prom_sample(out, "satproofd_jobs_rejected_busy_total",
-                "Jobs rejected with BUSY backpressure.", "counter",
-                static_cast<double>(rejected_busy_));
-    prom_sample(out, "satproofd_jobs_completed_total",
-                "Jobs that delivered a verdict.", "counter",
-                static_cast<double>(completed_));
-    prom_sample(out, "satproofd_jobs_failed_total",
-                "Jobs whose verdict was not ok.", "counter",
-                static_cast<double>(failed_));
-    prom_sample(out, "satproofd_jobs_timed_out_total",
-                "Jobs cancelled at their wall-clock deadline.", "counter",
-                static_cast<double>(timed_out_));
-    prom_sample(out, "satproofd_slow_jobs_total",
-                "Jobs exceeding the --slow-job-ms threshold.", "counter",
-                static_cast<double>(slow_jobs_));
-    prom_sample(out, "satproofd_certified_total",
-                "Certificates verified by the trusted kernel post-check.",
-                "counter", static_cast<double>(certified_));
-    prom_sample(out, "satproofd_certify_failed_total",
-                "Certificates REJECTED by the trusted kernel post-check.",
-                "counter", static_cast<double>(certify_failed_));
-    prom_sample(out, "satproofd_arena_peak_bytes",
-                "Largest clause-arena peak observed over completed jobs.",
-                "gauge", static_cast<double>(arena_peak_bytes_));
-    prom_sample(out, "satproofd_queue_depth", "Jobs waiting in the queue.",
-                "gauge", static_cast<double>(queue.depth()));
-    prom_sample(out, "satproofd_queue_capacity",
-                "Configured queue capacity.", "gauge",
-                static_cast<double>(queue_capacity));
-    prom_sample(out, "satproofd_running_jobs",
-                "Jobs currently executing.", "gauge",
-                static_cast<double>(running_jobs));
-    prom_sample(out, "satproofd_workers", "Checker worker threads.", "gauge",
-                static_cast<double>(workers));
-    prom_header(out, "satproofd_lane_queue_depth",
-                "Jobs waiting in the queue, by priority lane.", "gauge");
-    prom_lanes(out, "satproofd_lane_queue_depth",
-               static_cast<double>(queue.depth_fast),
-               static_cast<double>(queue.depth_bulk));
-    prom_header(out, "satproofd_lane_jobs_enqueued_total",
-                "Jobs admitted, by priority lane.", "counter");
-    prom_lanes(out, "satproofd_lane_jobs_enqueued_total",
-               static_cast<double>(queue.enqueued_fast),
-               static_cast<double>(queue.enqueued_bulk));
+    const Series series[] = {
+        {"satproofd_connections_total", "Client connections accepted.",
+         "counter", static_cast<double>(connections_)},
+        {"satproofd_malformed_frames_total",
+         "Protocol frames rejected as malformed.", "counter",
+         static_cast<double>(malformed_frames_)},
+        {"satproofd_jobs_accepted_total", "Jobs admitted to the queue.",
+         "counter", static_cast<double>(accepted_)},
+        {"satproofd_jobs_rejected_busy_total",
+         "Jobs rejected with BUSY backpressure.", "counter",
+         static_cast<double>(rejected_busy_)},
+        {"satproofd_jobs_completed_total", "Jobs that delivered a verdict.",
+         "counter", static_cast<double>(completed_)},
+        {"satproofd_jobs_failed_total", "Jobs whose verdict was not ok.",
+         "counter", static_cast<double>(failed_)},
+        {"satproofd_jobs_timed_out_total",
+         "Jobs cancelled at their wall-clock deadline.", "counter",
+         static_cast<double>(timed_out_)},
+        {"satproofd_slow_jobs_total",
+         "Jobs exceeding the --slow-job-ms threshold.", "counter",
+         static_cast<double>(slow_jobs_)},
+        {"satproofd_certified_total",
+         "Certificates verified by the trusted kernel post-check.",
+         "counter", static_cast<double>(certified_)},
+        {"satproofd_certify_failed_total",
+         "Certificates REJECTED by the trusted kernel post-check.",
+         "counter", static_cast<double>(certify_failed_)},
+        {"satproofd_arena_peak_bytes",
+         "Largest clause-arena peak observed over completed jobs.", "gauge",
+         static_cast<double>(arena_peak_bytes_)},
+        {"satproofd_queue_depth", "Jobs waiting in the queue.", "gauge",
+         static_cast<double>(queue.depth())},
+        {"satproofd_queue_capacity", "Configured queue capacity.", "gauge",
+         static_cast<double>(queue_capacity)},
+        {"satproofd_running_jobs", "Jobs currently executing.", "gauge",
+         static_cast<double>(running_jobs)},
+        {"satproofd_workers", "Checker worker threads.", "gauge",
+         static_cast<double>(workers)},
+    };
+    for (const Series& s : series) {
+      obs::append_header(out, s.name, s.help, s.type);
+      obs::append_sample(out, s.name, s.value);
+    }
 
-    prom_header(out, "satproofd_backend_jobs_completed_total",
-                "Jobs completed, by checker backend.", "counter");
-    for (std::uint8_t b = 0; b < kNumBackends; ++b) {
-      if (!reported_backend(b)) continue;
-      prom_labeled(out, "satproofd_backend_jobs_completed_total",
-                   backend_name(static_cast<Backend>(b)),
-                   static_cast<double>(backends_[b].completed));
-    }
-    prom_header(out, "satproofd_backend_jobs_failed_total",
-                "Jobs with a non-ok verdict, by checker backend.", "counter");
-    for (std::uint8_t b = 0; b < kNumBackends; ++b) {
-      if (!reported_backend(b)) continue;
-      prom_labeled(out, "satproofd_backend_jobs_failed_total",
-                   backend_name(static_cast<Backend>(b)),
-                   static_cast<double>(backends_[b].failed));
-    }
-    prom_header(out, "satproofd_backend_jobs_timed_out_total",
-                "Jobs timed out, by checker backend.", "counter");
-    for (std::uint8_t b = 0; b < kNumBackends; ++b) {
-      if (!reported_backend(b)) continue;
-      prom_labeled(out, "satproofd_backend_jobs_timed_out_total",
-                   backend_name(static_cast<Backend>(b)),
-                   static_cast<double>(backends_[b].timed_out));
-    }
-    prom_header(out, "satproofd_backend_latency_p99_ms",
-                "Estimated p99 job latency in milliseconds, by backend.",
-                "gauge");
-    for (std::uint8_t b = 0; b < kNumBackends; ++b) {
-      if (!reported_backend(b)) continue;
-      prom_labeled(out, "satproofd_backend_latency_p99_ms",
-                   backend_name(static_cast<Backend>(b)),
-                   backends_[b].latency.percentile_ms(99));
+    const char* depth = "satproofd_lane_queue_depth";
+    obs::append_header(out, depth,
+                       "Jobs waiting in the queue, by priority lane.",
+                       "gauge");
+    obs::append_sample(out, depth, static_cast<double>(queue.depth_fast),
+                       "lane", "fast");
+    obs::append_sample(out, depth, static_cast<double>(queue.depth_bulk),
+                       "lane", "bulk");
+    const char* enqueued = "satproofd_lane_jobs_enqueued_total";
+    obs::append_header(out, enqueued, "Jobs admitted, by priority lane.",
+                       "counter");
+    obs::append_sample(out, enqueued,
+                       static_cast<double>(queue.enqueued_fast), "lane",
+                       "fast");
+    obs::append_sample(out, enqueued,
+                       static_cast<double>(queue.enqueued_bulk), "lane",
+                       "bulk");
+
+    const Labeled per_backend[] = {
+        {"satproofd_backend_jobs_completed_total",
+         "Jobs completed, by checker backend.", "counter",
+         [](const BackendCounters& c) {
+           return static_cast<double>(c.completed);
+         }},
+        {"satproofd_backend_jobs_failed_total",
+         "Jobs with a non-ok verdict, by checker backend.", "counter",
+         [](const BackendCounters& c) {
+           return static_cast<double>(c.failed);
+         }},
+        {"satproofd_backend_jobs_timed_out_total",
+         "Jobs timed out, by checker backend.", "counter",
+         [](const BackendCounters& c) {
+           return static_cast<double>(c.timed_out);
+         }},
+        {"satproofd_backend_latency_p99_ms",
+         "Estimated p99 job latency in milliseconds, by backend.", "gauge",
+         [](const BackendCounters& c) { return c.latency.percentile_ms(99); }},
+    };
+    for (const Labeled& l : per_backend) {
+      obs::append_header(out, l.name, l.help, l.type);
+      for (std::uint8_t b = 0; b < kNumBackends; ++b) {
+        if (!reported_backend(b)) continue;
+        obs::append_sample(out, l.name, l.value(backends_[b]), "backend",
+                           backend_name(static_cast<Backend>(b)));
+      }
     }
   }
   // Process-wide checker counters (resolutions, clauses built, ...) are

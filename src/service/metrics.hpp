@@ -15,9 +15,10 @@ namespace satproof::service {
 /// Bucket i covers latencies in [2^i, 2^(i+1)) microseconds; bucket 0 also
 /// absorbs sub-microsecond samples. 40 buckets reach ~12.7 days, far past
 /// any job. Percentiles are reported as the upper bound of the bucket in
-/// which the requested rank falls — at most one power of two above the
-/// true value, which is the right fidelity for a live counters endpoint
-/// (exact percentiles would need unbounded sample storage).
+/// which the requested rank falls, capped at the largest recorded sample —
+/// at most one power of two above the true value, which is the right
+/// fidelity for a live counters endpoint (exact percentiles would need
+/// unbounded sample storage).
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 40;
@@ -27,7 +28,7 @@ class LatencyHistogram {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double max_ms() const { return max_ms_; }
   /// Upper-bound estimate of the p-th percentile (p in (0, 100]) in
-  /// milliseconds; 0 when empty.
+  /// milliseconds, never above max_ms(); 0 when empty.
   [[nodiscard]] double percentile_ms(double p) const;
 
  private:

@@ -45,13 +45,12 @@ std::vector<std::uint8_t> encode_submit_header(const SubmitHeader& h) {
 
 bool decode_submit_header(std::span<const std::uint8_t> payload,
                           SubmitHeader& out) {
-  // 18 bytes = current header; 10 = pre-declared_bytes clients.
-  if (payload.size() != 18 && payload.size() != 10) return false;
+  if (payload.size() != 18) return false;
   out.backend = payload[0];
   out.flags = payload[1];
   out.timeout_ms = read_u32le(payload.data() + 2);
   out.jobs = read_u32le(payload.data() + 6);
-  out.declared_bytes = payload.size() == 18 ? read_u64le(payload.data() + 10) : 0;
+  out.declared_bytes = read_u64le(payload.data() + 10);
   return true;
 }
 

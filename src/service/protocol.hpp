@@ -81,9 +81,7 @@ enum class JobStatus : std::uint8_t {
   kTimeout = 3,      ///< wall-clock deadline exceeded
 };
 
-/// kSubmit payload. Encoded as 18 bytes; a legacy 10-byte header (without
-/// the trailing declared_bytes field) still decodes, with declared_bytes
-/// taken as 0 ("unknown").
+/// kSubmit payload, encoded as exactly 18 bytes.
 struct SubmitHeader {
   std::uint8_t backend = 0;      ///< service::Backend
   std::uint8_t flags = 0;        ///< kSubmitFlagWait

@@ -80,10 +80,10 @@ std::string verdict_line(const JobOutcome& o) {
   return os.str();
 }
 
-std::string check_stats_json(const checker::CheckStats& st,
-                             std::string_view backend) {
-  util::JsonWriter w;
-  w.begin_object();
+namespace {
+
+/// The CheckStats fields in their one canonical order, into an open object.
+void write_check_stats(util::JsonWriter& w, const checker::CheckStats& st) {
   w.key("total_derivations");
   w.value(st.total_derivations);
   w.key("clauses_built");
@@ -100,6 +100,15 @@ std::string check_stats_json(const checker::CheckStats& st,
   w.value(static_cast<std::uint64_t>(st.arena_recycled_bytes));
   w.key("arena_peak_bytes");
   w.value(static_cast<std::uint64_t>(st.arena_peak_bytes));
+}
+
+}  // namespace
+
+std::string check_stats_json(const checker::CheckStats& st,
+                             std::string_view backend) {
+  util::JsonWriter w;
+  w.begin_object();
+  write_check_stats(w, st);
   // Appended last so consumers keyed on the historical field prefix (the
   // CLI tests check the leading "total_derivations") are unaffected.
   if (!backend.empty()) {
@@ -132,41 +141,30 @@ std::string outcome_json(const JobOutcome& o) {
     w.value(o.drup_propagations);
     w.end_object();
   } else {
-    // check_stats_json would be natural here, but JsonWriter has no raw
-    // splice; keep one canonical field order by emitting the same fields.
     w.key("stats");
     w.begin_object();
-    w.key("total_derivations");
-    w.value(o.stats.total_derivations);
-    w.key("clauses_built");
-    w.value(o.stats.clauses_built);
-    w.key("resolutions");
-    w.value(o.stats.resolutions);
-    w.key("core_original_clauses");
-    w.value(o.stats.core_original_clauses);
-    w.key("peak_mem_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.peak_mem_bytes));
-    w.key("arena_allocated_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_allocated_bytes));
-    w.key("arena_recycled_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_recycled_bytes));
-    w.key("arena_peak_bytes");
-    w.value(static_cast<std::uint64_t>(o.stats.arena_peak_bytes));
+    write_check_stats(w, o.stats);
     w.end_object();
   }
   w.end_object();
   return w.take();
 }
 
-namespace {
+std::unique_ptr<trace::TraceReader> open_trace_file(const std::string& path,
+                                                    std::ifstream& ascii_in) {
+  if (trace::is_binary_trace(path)) return trace::open_binary_trace_file(path);
+  ascii_in.open(path);
+  if (!ascii_in) throw std::runtime_error("cannot open " + path);
+  return std::make_unique<trace::AsciiTraceReader>(ascii_in);
+}
 
-/// Size of `path` in bytes (0 when it cannot be measured; the budget
-/// selection then keeps the requested backend).
 std::uint64_t trace_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::in | std::ios::binary | std::ios::ate);
   const auto size = in.tellg();
   return in && size > 0 ? static_cast<std::uint64_t>(size) : 0;
 }
+
+namespace {
 
 /// Folds one finished run's stats into the process-wide registry. Done
 /// once per check (not on the replay hot path), so the counters cost
@@ -230,15 +228,9 @@ JobOutcome run_check(const std::string& cnf_path, const std::string& trace_path,
       return out;
     }
 
-    std::unique_ptr<trace::TraceReader> reader;
     std::ifstream ascii_in;
-    if (trace::is_binary_trace(trace_path)) {
-      reader = trace::open_binary_trace_file(trace_path);
-    } else {
-      ascii_in.open(trace_path);
-      if (!ascii_in) throw std::runtime_error("cannot open " + trace_path);
-      reader = std::make_unique<trace::AsciiTraceReader>(ascii_in);
-    }
+    const std::unique_ptr<trace::TraceReader> reader =
+        open_trace_file(trace_path, ascii_in);
 
     std::unique_ptr<cert::LratWriter> writer;
     std::unique_ptr<cert::LratEmitter> emitter;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -90,6 +91,16 @@ struct CertOptions {
 /// that actually ran — the provenance record for `--checker=auto`.
 [[nodiscard]] std::string check_stats_json(const checker::CheckStats& stats,
                                            std::string_view backend = {});
+
+/// Opens the trace at `path` by its magic: a binary trace is memory-mapped,
+/// anything else is read as ASCII through `ascii_in`, which must outlive
+/// the reader. Throws std::runtime_error when the file cannot be opened.
+[[nodiscard]] std::unique_ptr<trace::TraceReader> open_trace_file(
+    const std::string& path, std::ifstream& ascii_in);
+
+/// Size of the file at `path` in bytes; 0 when it cannot be measured (the
+/// budget selection then keeps depth-first).
+[[nodiscard]] std::uint64_t trace_file_bytes(const std::string& path);
 
 /// Checks `trace_path` against `cnf_path` with `backend`.
 ///

@@ -1,52 +1,17 @@
 #include "src/util/byte_source.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <istream>
-#include <stdexcept>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SATPROOF_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define SATPROOF_HAVE_MMAP 0
-#endif
+
+#include <istream>
+#include <stdexcept>
 
 namespace satproof::util {
 
-namespace {
-
-std::vector<std::uint8_t> read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("byte source: cannot open " + path);
-  }
-  std::vector<std::uint8_t> data;
-  in.seekg(0, std::ios::end);
-  const auto size = in.tellg();
-  if (size > 0) {
-    data.resize(static_cast<std::size_t>(size));
-    in.seekg(0, std::ios::beg);
-    in.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-    if (!in) {
-      throw std::runtime_error("byte source: short read on " + path);
-    }
-  }
-  return data;
-}
-
-}  // namespace
-
 std::unique_ptr<ByteSource> ByteSource::map_file(const std::string& path) {
-#if SATPROOF_HAVE_MMAP
   return std::make_unique<MmapByteSource>(path);
-#else
-  return std::make_unique<MemoryByteSource>(read_whole_file(path));
-#endif
 }
 
 ByteSource::Window MemoryByteSource::window(std::uint64_t pos) {
@@ -54,8 +19,6 @@ ByteSource::Window MemoryByteSource::window(std::uint64_t pos) {
   const std::uint8_t* base = data_.data();
   return {base + pos, base + data_.size()};
 }
-
-#if SATPROOF_HAVE_MMAP
 
 MmapByteSource::MmapByteSource(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -105,19 +68,6 @@ void MmapByteSource::release(std::uint64_t pos, std::uint64_t len) {
   ::madvise(const_cast<std::uint8_t*>(base_) + begin,
             static_cast<std::size_t>(end - begin), MADV_DONTNEED);
 }
-
-#else  // !SATPROOF_HAVE_MMAP
-
-MmapByteSource::MmapByteSource(const std::string& path) {
-  (void)path;
-  throw std::runtime_error("byte source: mmap unavailable on this platform");
-}
-
-MmapByteSource::~MmapByteSource() = default;
-
-void MmapByteSource::release(std::uint64_t, std::uint64_t) {}
-
-#endif
 
 ByteSource::Window MmapByteSource::window(std::uint64_t pos) {
   if (pos >= size_) return {};

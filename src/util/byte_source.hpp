@@ -19,9 +19,7 @@ namespace satproof::util {
 ///
 /// Implementations:
 ///  - MemoryByteSource  — whole trace in a vector; one window.
-///  - MmapByteSource    — trace file mapped read-only; one window. Falls
-///                        back to reading the file into memory when mmap
-///                        is unavailable.
+///  - MmapByteSource    — trace file mapped read-only; one window.
 ///  - StreamByteSource  — wraps any std::istream (pipes, stringstreams)
 ///                        behind an internal buffer; windows are buffer
 ///                        refills.
@@ -55,9 +53,8 @@ class ByteSource {
     (void)len;
   }
 
-  /// Maps (or reads) `path` and returns a source over its contents.
-  /// Prefers mmap; falls back to a MemoryByteSource on platforms without
-  /// it. Throws std::runtime_error if the file cannot be opened.
+  /// Maps `path` read-only and returns a source over its contents.
+  /// Throws std::runtime_error if the file cannot be opened or mapped.
   static std::unique_ptr<ByteSource> map_file(const std::string& path);
 };
 

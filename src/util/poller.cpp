@@ -1,17 +1,12 @@
 #include "src/util/poller.hpp"
 
-#include <stdexcept>
-#include <string>
-
-#if !defined(_WIN32)
-
 #include <cerrno>
 #include <cstring>
 #include <poll.h>
+#include <stdexcept>
+#include <string>
 
 namespace satproof::util {
-
-EventPoller::EventPoller() = default;
 
 EventPoller::Entry* EventPoller::find(int fd) {
   for (Entry& e : entries_) {
@@ -82,20 +77,3 @@ std::size_t EventPoller::wait(int timeout_ms, std::vector<PollEvent>& out) {
 }
 
 }  // namespace satproof::util
-
-#else  // _WIN32 — no poll(2); keep the interface compiling.
-
-namespace satproof::util {
-
-EventPoller::EventPoller() {
-  throw std::runtime_error("EventPoller is not supported on this platform");
-}
-EventPoller::Entry* EventPoller::find(int) { return nullptr; }
-void EventPoller::add(int, std::uint64_t, bool, bool) {}
-void EventPoller::modify(int, bool, bool) {}
-void EventPoller::remove(int) {}
-std::size_t EventPoller::wait(int, std::vector<PollEvent>&) { return 0; }
-
-}  // namespace satproof::util
-
-#endif

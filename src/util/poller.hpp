@@ -26,8 +26,7 @@ struct PollEvent {
 /// Not thread-safe: one thread owns an EventPoller for its whole life.
 class EventPoller {
  public:
-  /// Throws std::runtime_error on platforms without poll(2).
-  EventPoller();
+  EventPoller() = default;
 
   EventPoller(const EventPoller&) = delete;
   EventPoller& operator=(const EventPoller&) = delete;

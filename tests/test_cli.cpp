@@ -91,7 +91,7 @@ TEST_F(CliTest, SolveTraceThenCheckRoundTrip) {
   EXPECT_EQ(c.exit_code, 0) << c.err;
   EXPECT_NE(c.out.find("VERIFIED"), std::string::npos);
 
-  const CliRun cb = run({"check", "--bf", cnf(), aux()});
+  const CliRun cb = run({"check", "--checker=bf", cnf(), aux()});
   EXPECT_EQ(cb.exit_code, 0) << cb.err;
 }
 
@@ -99,7 +99,7 @@ TEST_F(CliTest, BinaryTraceRoundTrip) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
   ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
-  const CliRun c = run({"check", "--binary", cnf(), aux()});
+  const CliRun c = run({"check", cnf(), aux()});
   EXPECT_EQ(c.exit_code, 0) << c.err;
 }
 
@@ -107,7 +107,7 @@ TEST_F(CliTest, RupDetectsBinaryTraceByMagic) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
   ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
-  const CliRun c = run({"check", cnf(), aux(), "--rup"});
+  const CliRun c = run({"check", cnf(), aux(), "--checker=rup"});
   EXPECT_EQ(c.exit_code, 0) << c.err;
   EXPECT_NE(c.out.find("VERIFIED (RUP)"), std::string::npos);
 }
@@ -116,14 +116,14 @@ TEST_F(CliTest, CheckStatsReportsArenaTraffic) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
   ASSERT_EQ(s.exit_code, kExitUnsat) << s.err;
-  const CliRun c = run({"check", "--binary", "--stats", cnf(), aux()});
+  const CliRun c = run({"check", "--stats", cnf(), aux()});
   EXPECT_EQ(c.exit_code, 0) << c.err;
   EXPECT_NE(c.out.find("stats: arena "), std::string::npos);
   EXPECT_NE(c.out.find("bytes allocated"), std::string::npos);
   EXPECT_NE(c.out.find("peak total"), std::string::npos);
   // The breadth-first window recycles released blocks; its stats line must
   // be present too (a nonzero recycled figure is exercised in unit tests).
-  const CliRun bf = run({"check", "--bf", "--binary", "--stats", cnf(), aux()});
+  const CliRun bf = run({"check", "--checker=bf", "--stats", cnf(), aux()});
   EXPECT_EQ(bf.exit_code, 0) << bf.err;
   EXPECT_NE(bf.out.find("stats: arena "), std::string::npos);
 }
@@ -308,12 +308,13 @@ TEST_F(CliTest, CheckCommandVariants) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--trace", aux()});
   ASSERT_EQ(s.exit_code, kExitUnsat);
-  EXPECT_EQ(run({"check", "--hybrid", cnf(), aux()}).exit_code, 0);
-  const CliRun rup = run({"check", "--rup", cnf(), aux()});
+  EXPECT_EQ(run({"check", "--checker=hybrid", cnf(), aux()}).exit_code, 0);
+  const CliRun rup = run({"check", "--checker=rup", cnf(), aux()});
   EXPECT_EQ(rup.exit_code, 0) << rup.err;
   EXPECT_NE(rup.out.find("VERIFIED (RUP)"), std::string::npos);
-  EXPECT_EQ(run({"check", "--bf", "--rup", cnf(), aux()}).exit_code,
-            kExitError);
+  EXPECT_EQ(
+      run({"check", "--checker=bf", "--checker=rup", cnf(), aux()}).exit_code,
+      kExitError);
 }
 
 TEST_F(CliTest, CheckerOptionSelectsBackend) {
@@ -330,11 +331,15 @@ TEST_F(CliTest, CheckerOptionSelectsBackend) {
   EXPECT_EQ(eq.exit_code, 0) << eq.err;
   EXPECT_EQ(run({"check", "--checker", "warp", cnf(), aux()}).exit_code,
             kExitError);
-  EXPECT_EQ(
-      run({"check", "--checker", "df", "--bf", cnf(), aux()}).exit_code,
-      kExitError);
-  // The retired parallel backend and its --jobs flag are ordinary CLI
-  // errors now.
+  // The retired shorthands of --checker and the no-op --binary, like the
+  // retired parallel backend and its --jobs flag, are ordinary CLI errors.
+  for (const char* flag : {"--bf", "--hybrid", "--rup", "--binary"}) {
+    const CliRun c = run({"check", cnf(), aux(), flag});
+    EXPECT_EQ(c.exit_code, kExitError) << flag;
+    EXPECT_NE(c.err.find(std::string("unexpected argument '") + flag + "'"),
+              std::string::npos)
+        << c.err;
+  }
   const CliRun par = run({"check", "--checker=parallel", cnf(), aux()});
   EXPECT_EQ(par.exit_code, kExitError);
   EXPECT_NE(par.err.find("--checker expects"), std::string::npos) << par.err;
@@ -370,20 +375,14 @@ TEST_F(CliTest, HybridIsWindowWithDepthFirstStats) {
   ASSERT_EQ(s.exit_code, kExitUnsat);
   const CliRun df = run({"check", "--stats=json", cnf(), aux()});
   ASSERT_EQ(df.exit_code, 0) << df.err;
-  for (const std::vector<std::string>& args :
-       {std::vector<std::string>{"check", "--hybrid", "--stats=json", cnf(),
-                                 aux()},
-        std::vector<std::string>{"check", "--checker=hybrid", "--stats=json",
-                                 cnf(), aux()}}) {
-    const CliRun hy = run(args);
-    ASSERT_EQ(hy.exit_code, 0) << args[1] << ": " << hy.err;
-    EXPECT_NE(hy.out.find("\"backend\":\"window\""), std::string::npos)
-        << hy.out;
-    for (const char* key :
-         {"resolutions", "clauses_built", "core_original_clauses"}) {
-      EXPECT_EQ(json_field(hy.out, key), json_field(df.out, key))
-          << args[1] << " " << key;
-    }
+  const CliRun hy = run({"check", "--checker=hybrid", "--stats=json", cnf(),
+                         aux()});
+  ASSERT_EQ(hy.exit_code, 0) << hy.err;
+  EXPECT_NE(hy.out.find("\"backend\":\"window\""), std::string::npos)
+      << hy.out;
+  for (const char* key :
+       {"resolutions", "clauses_built", "core_original_clauses"}) {
+    EXPECT_EQ(json_field(hy.out, key), json_field(df.out, key)) << key;
   }
 
   const CliRun ex =

@@ -284,6 +284,16 @@ TEST_F(ServiceProtocolSweep, MalformedSubmitHeaderGetsTypedError) {
   expect_error_then_close(sock, ErrorCode::kMalformedFrame);
 }
 
+TEST_F(ServiceProtocolSweep, Legacy10ByteSubmitHeaderGetsTypedError) {
+  util::Socket sock = connect_raw();
+  std::vector<std::uint8_t> payload = encode_submit_header(SubmitHeader{});
+  payload.resize(10);  // the header without its declared_bytes field
+  ASSERT_TRUE(write_frame(sock, FrameTag::kSubmit, payload));
+  expect_error_then_close(sock, ErrorCode::kMalformedFrame,
+                          "SUBMIT payload is not a submit header");
+  expect_still_alive();
+}
+
 TEST_F(ServiceProtocolSweep, UnknownBackendIdIsABadRequest) {
   // 3 was the retired parallel backend; 0x30 is far outside the table.
   for (const std::uint8_t id : {std::uint8_t{3}, std::uint8_t{0x30}}) {

@@ -79,8 +79,8 @@ usage:
                        in chrome://tracing or Perfetto; docs/OBSERVABILITY.md)
       exit code: 10 SAT, 20 UNSAT, 0 unknown, 1 error
 
-  satproof check <file.cnf> <trace-file> [--checker=MODE] [--binary]
-                 [--mem-limit=N] [--stats] [--trace-out FILE]
+  satproof check <file.cnf> <trace-file> [--checker=MODE] [--mem-limit=N]
+                 [--stats[=json]] [--trace-out FILE]
       replay a trace against the formula; exit 0 iff the proof is valid.
       --checker picks the backend: df (default) depth-first resolution
       replay; bf breadth-first; rup cross-validates every derived clause
@@ -94,14 +94,12 @@ usage:
       --mem-limit=N caps checker memory (K/M/G suffixes accepted): it is
       the window backend's budget, steers --checker=auto by the budget
       and trace size, and moves df requests that would not fit to window
-      (see docs/CHECKERS.md). The
-      flags --bf, --hybrid and --rup remain as shorthands. --stats
-      appends a line with clause-arena traffic (bytes
-      allocated/recycled/peak) and total peak checker memory;
-      --stats=json emits the same counters as one JSON object (the same
-      serializer the service stats reply uses) plus a final "backend" key
-      naming the backend that actually ran. Binary traces are detected
-      automatically; --binary stays accepted.
+      (see docs/CHECKERS.md). --stats appends a line with clause-arena
+      traffic (bytes allocated/recycled/peak) and total peak checker
+      memory; --stats=json emits the same counters as one JSON object
+      (the same serializer the service stats reply uses) plus a final
+      "backend" key naming the backend that actually ran. Binary traces
+      are detected by their magic.
       --trace-out FILE writes a Chrome-trace JSON profile with the
       checker's stage spans (parse/index/replay/...).
 
@@ -600,22 +598,12 @@ int cmd_solve(Args args, std::ostream& out, std::ostream& err) {
 constexpr std::uint64_t kAutoWindowTraceBytes = 64ull << 20;
 
 service::Backend resolve_auto_backend(const std::string& trace_path) {
-  std::ifstream in(trace_path, std::ios::in | std::ios::binary | std::ios::ate);
-  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg())
-                                 : std::streamoff{0};
-  return (size > 0 &&
-          static_cast<std::uint64_t>(size) >= kAutoWindowTraceBytes)
+  return service::trace_file_bytes(trace_path) >= kAutoWindowTraceBytes
              ? service::Backend::kWindow
              : service::Backend::kDf;
 }
 
 int cmd_check(Args args, std::ostream& out, std::ostream& err) {
-  const bool use_bf = args.take_flag("--bf");
-  const bool use_hybrid = args.take_flag("--hybrid");
-  const bool use_rup = args.take_flag("--rup");
-  // Binary traces are detected by their magic; --binary stays accepted as a
-  // no-op for compatibility.
-  args.take_flag("--binary");
   bool want_stats = args.take_flag("--stats");
   bool stats_json = false;
   if (const auto v = args.take_option("--stats")) {
@@ -623,7 +611,7 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
     want_stats = true;
     stats_json = true;
   }
-  const auto checker_opt = args.take_option("--checker");
+  const std::string mode = args.take_option("--checker").value_or("df");
   const auto trace_out_path = args.take_option("--trace-out");
   std::size_t mem_limit = 0;
   if (const auto v = args.take_option("--mem-limit")) {
@@ -634,13 +622,6 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   const std::string trace_path = args.next("trace file");
   args.expect_done();
   ScopedTraceOut scoped_trace(trace_out_path, err);
-  if (use_bf + use_hybrid + use_rup + checker_opt.has_value() > 1) {
-    throw CliError("pick at most one of --checker, --bf, --hybrid, --rup");
-  }
-  std::string mode = use_bf       ? "bf"
-                     : use_hybrid ? "hybrid"
-                     : use_rup    ? "rup"
-                                  : checker_opt.value_or("df");
   if (mode != "df" && mode != "bf" && mode != "hybrid" && mode != "rup" &&
       mode != "window" && mode != "auto") {
     throw CliError("--checker expects df, bf, hybrid, rup, window or auto");
@@ -652,15 +633,9 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
   util::Timer timer;
   if (mode == "rup") {
     const Formula f = dimacs::parse_file(cnf_path);
-    std::ifstream in;
-    std::unique_ptr<trace::TraceReader> reader;
-    if (trace::is_binary_trace(trace_path)) {
-      reader = trace::open_binary_trace_file(trace_path);
-    } else {
-      in.open(trace_path);
-      if (!in) throw CliError("cannot open trace file " + trace_path);
-      reader = std::make_unique<trace::AsciiTraceReader>(in);
-    }
+    std::ifstream ascii_in;
+    const std::unique_ptr<trace::TraceReader> reader =
+        service::open_trace_file(trace_path, ascii_in);
     const checker::DrupCheckResult result =
         proof::check_trace_rup(f, *reader);
     if (result.ok) {
@@ -676,23 +651,14 @@ int cmd_check(Args args, std::ostream& out, std::ostream& err) {
 
   // The replay backends go through the same dispatch as the service daemon,
   // so a CLI verdict and a `satproof submit` verdict come from one code path.
-  // With both --checker=auto and --mem-limit the backend is picked from the
-  // budget and the declared trace size (select_backend_for_budget);
-  // run_check then re-applies the same cap to explicit df requests. hybrid
-  // is window over one unbounded window.
-  service::Backend backend;
-  if (mode == "auto" && mem_limit != 0) {
-    std::ifstream in(trace_path,
-                     std::ios::in | std::ios::binary | std::ios::ate);
-    const std::streamoff size =
-        in ? static_cast<std::streamoff>(in.tellg()) : std::streamoff{0};
-    backend = service::select_backend_for_budget(
-        size > 0 ? static_cast<std::uint64_t>(size) : 0, mem_limit);
-  } else if (mode == "auto") {
-    backend = resolve_auto_backend(trace_path);
-  } else {
-    backend = *service::backend_from_name(mode);
-  }
+  // Under --mem-limit, run_check picks df or window for a df request from
+  // the budget and the trace size (select_backend_for_budget), so
+  // --checker=auto hands it df; without a cap auto picks by trace size
+  // alone. hybrid is window over one unbounded window.
+  const service::Backend backend =
+      mode == "auto" ? (mem_limit != 0 ? service::Backend::kDf
+                                       : resolve_auto_backend(trace_path))
+                     : *service::backend_from_name(mode);
   const service::JobOutcome result = service::run_check(
       cnf_path, trace_path, backend, 0, nullptr, {}, mem_limit);
   if (result.ok) {
