@@ -1,6 +1,5 @@
 #include "src/checker/breadth_first.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "src/obs/trace.hpp"
@@ -26,7 +25,11 @@ class BreadthFirstChecker {
       check_header(*formula_, reader_->num_vars(), reader_->num_original());
       {
         obs::Span span("parse");
-        scan_pass();
+        const TraceShape shape = scan_trace(*reader_, level0_, stats_, {});
+        final_id_ = shape.final_id;
+        result.next_free_id = shape.next_free_id;
+        num_learned_slots_ = ordinal(shape.next_free_id);
+        counts_->resize(num_learned_slots_);
       }
       {
         obs::Span span("use_count");
@@ -82,66 +85,6 @@ class BreadthFirstChecker {
 
   [[nodiscard]] std::uint64_t ordinal(ClauseId id) const {
     return id - num_original();
-  }
-
-  /// First traversal: validates record structure, sizes the use-count
-  /// store, collects the final conflict and the level-0 table, and pins
-  /// (pre-increments) the clauses the final derivation may need.
-  void scan_pass() {
-    reader_->rewind();
-    trace::Record rec;
-    bool ended = false;
-    std::optional<ClauseId> last_id;
-    while (!ended && reader_->next(rec)) {
-      switch (rec.kind) {
-        case trace::RecordKind::Derivation: {
-          if (rec.id < num_original()) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " reuses an original clause ID");
-          }
-          if (last_id.has_value() && rec.id <= *last_id) {
-            throw CheckFailure(
-                "derivation IDs must be strictly increasing (clause " +
-                std::to_string(rec.id) + " after " + std::to_string(*last_id) +
-                ")");
-          }
-          if (rec.sources.size() < 2) {
-            throw CheckFailure("derivation " + std::to_string(rec.id) +
-                               " has fewer than two resolve sources");
-          }
-          for (const ClauseId s : rec.sources) {
-            if (s >= rec.id) {
-              throw CheckFailure(
-                  "derivation " + std::to_string(rec.id) +
-                  " references source " + std::to_string(s) +
-                  " that does not precede it");
-            }
-          }
-          last_id = rec.id;
-          ++stats_.total_derivations;
-          break;
-        }
-        case trace::RecordKind::FinalConflict:
-          if (final_id_.has_value()) {
-            throw CheckFailure("trace has more than one final conflict record");
-          }
-          final_id_ = rec.id;
-          break;
-        case trace::RecordKind::Level0:
-          level0_.add(rec.var, rec.value, rec.antecedent);
-          break;
-        case trace::RecordKind::Assumption:
-          level0_.add_assumption(rec.var, rec.value);
-          break;
-        case trace::RecordKind::End:
-          ended = true;
-          break;
-      }
-    }
-    if (!ended) throw CheckFailure("trace truncated: missing end record");
-
-    num_learned_slots_ = last_id.has_value() ? ordinal(*last_id) + 1 : 0;
-    counts_->resize(num_learned_slots_);
   }
 
   /// Second traversal(s): count how often each learned clause is used as a
@@ -200,20 +143,9 @@ class BreadthFirstChecker {
       }
       if (rec.kind != trace::RecordKind::Derivation) continue;
 
-      chain_.start(fetch_clause(rec.sources[0]));
-      for (std::size_t i = 1; i < rec.sources.size(); ++i) {
-        const ResolveResult r = chain_.step(fetch_clause(rec.sources[i]));
-        ++stats_.resolutions;
-        if (r.status != ResolveStatus::Ok) {
-          throw CheckFailure(
-              "derivation of clause " + std::to_string(rec.id) +
-              ": resolving with source " + std::to_string(rec.sources[i]) +
-              " (step " + std::to_string(i) + ") failed: " +
-              (r.status == ResolveStatus::NoClash
-                   ? "no clashing variable"
-                   : "more than one clashing variable"));
-        }
-      }
+      fold_derivation(
+          chain_, rec.id, rec.sources,
+          [this](ClauseId id) { return fetch_clause(id); }, stats_);
       ++stats_.clauses_built;
 
       // Release sources whose last use this was; their arena blocks go on
@@ -245,28 +177,7 @@ class BreadthFirstChecker {
   /// learned clauses come from the live window. The returned view is valid
   /// until the next fetch.
   ClauseView fetch_clause(ClauseId id) {
-    if (id < num_original()) {
-      // Canonicalize in place: the scratch buffer's capacity is reused
-      // across the millions of original-clause fetches of a long trace.
-      const ClauseView raw = formula_->clause(id);
-      scratch_.assign(raw.begin(), raw.end());
-      std::sort(scratch_.begin(), scratch_.end());
-      scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                     scratch_.end());
-      if (is_tautology(scratch_)) {
-        throw CheckFailure(
-            "original clause " + std::to_string(id) +
-            " is tautological and cannot be a resolution source");
-      }
-      return scratch_;
-    }
-    if (!store_.contains(id)) {
-      throw CheckFailure(
-          "clause " + std::to_string(id) +
-          " is not available: it was never derived, or its use count was "
-          "exhausted earlier than the trace implies");
-    }
-    return store_.view(id);
+    return fetch_live_clause(*formula_, store_, id, scratch_);
   }
 
   void release(ClauseId id) {

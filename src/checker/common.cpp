@@ -3,104 +3,93 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/obs/trace.hpp"
-
 namespace satproof::checker {
 
 namespace {
 
 std::string lit_str(Lit lit) { return to_string(lit); }
 
-}  // namespace
-
-void DerivationIndex::add(ClauseId id, std::span<const ClauseId> sources) {
-  if (id < num_original_) {
-    throw CheckFailure("derivation " + std::to_string(id) +
-                       " reuses an original clause ID");
+/// Rule 2 of TRACE_FORMAT.md for one derivation record; `next_free_id` is
+/// one past the previous derivation (num_original before the first).
+void check_derivation(const trace::Record& rec, ClauseId num_original,
+                      ClauseId next_free_id) {
+  const auto fail = [&rec](const std::string& what) {
+    throw CheckFailure("derivation " + std::to_string(rec.id) + " " + what);
+  };
+  if (rec.id < num_original) fail("reuses an original clause ID");
+  if (rec.id < next_free_id) {
+    throw CheckFailure("derivation IDs must be strictly increasing (clause " +
+                       std::to_string(rec.id) + " after " +
+                       std::to_string(next_free_id - 1) + ")");
   }
-  if (sources.size() < 2) {
-    throw CheckFailure("derivation " + std::to_string(id) +
-                       " has fewer than two resolve sources");
-  }
-  for (const ClauseId s : sources) {
-    if (s >= id) {
-      throw CheckFailure(
-          "derivation " + std::to_string(id) + " references source " +
-          std::to_string(s) +
-          " that does not precede it; derivations must be acyclic");
+  if (rec.sources.size() < 2) fail("has fewer than two resolve sources");
+  for (const ClauseId s : rec.sources) {
+    if (s >= rec.id) {
+      fail("references source " + std::to_string(s) +
+           " that does not precede it; derivations must be acyclic");
     }
   }
-  const ClauseId ord = id - num_original_;
-  if (ord >= entries_.size()) entries_.resize(ord + 1);
-  Entry& e = entries_[ord];
-  if (e.len != 0) {
-    throw CheckFailure("clause " + std::to_string(id) + " is derived twice");
-  }
-  if (pool_.size() + sources.size() >
-      std::numeric_limits<std::uint32_t>::max()) {
-    throw CheckFailure("trace too large: derivation source pool exceeds 2^32");
-  }
-  // Sources precede `id` (checked above), so this bounds them too and the
-  // narrowing below is lossless.
-  if (id > std::numeric_limits<std::uint32_t>::max()) {
+  // Sources precede the ID, so this bounds them too: backends store
+  // clause IDs narrowed to 32 bits.
+  if (rec.id > std::numeric_limits<std::uint32_t>::max()) {
     throw CheckFailure("trace too large: clause IDs exceed 2^32");
   }
-  e.begin = static_cast<std::uint32_t>(pool_.size());
-  e.len = static_cast<std::uint32_t>(sources.size());
-  for (const ClauseId s : sources) {
-    pool_.push_back(static_cast<std::uint32_t>(s));
-  }
-  max_id_ = std::max(max_id_, id);
-  ++num_records_;
 }
 
-void DerivationIndex::throw_never_derived(ClauseId id) {
-  throw CheckFailure("clause " + std::to_string(id) +
-                     " is referenced but never derived in the trace");
-}
+}  // namespace
 
-std::optional<ClauseId> load_full_trace(trace::TraceReader& reader,
-                                        DerivationIndex& derivations,
-                                        Level0Table& level0,
-                                        util::MemTracker& mem,
-                                        CheckStats& stats) {
-  // Parsing and derivation-index construction share this streaming loop,
-  // so one span covers both; backends add their own index/replay spans.
-  obs::Span span("parse");
+TraceShape scan_trace(trace::TraceReader& reader, Level0Table& level0,
+                      CheckStats& stats, const DerivationSink& sink) {
   reader.rewind();
-  std::optional<ClauseId> final_id;
+  const bool seekable = reader.seekable();
+  TraceShape shape;
+  shape.next_free_id = reader.num_original();
   trace::Record rec;
+  std::uint64_t index = 0;
   bool ended = false;
-  while (!ended && reader.next(rec)) {
+  while (!ended) {
+    const std::uint64_t pos = seekable ? reader.tell() : index;
+    if (!reader.next(rec)) break;
     switch (rec.kind) {
       case trace::RecordKind::Derivation:
-        derivations.add(rec.id, rec.sources);
-        mem.add(derivation_record_bytes(rec.sources.size()));
+        check_derivation(rec, reader.num_original(), shape.next_free_id);
+        shape.next_free_id = rec.id + 1;
         ++stats.total_derivations;
+        if (sink) sink(rec, index, pos);
         break;
       case trace::RecordKind::FinalConflict:
-        if (final_id.has_value()) {
+        if (shape.final_id.has_value()) {
           throw CheckFailure("trace has more than one final conflict record");
         }
-        final_id = rec.id;
+        shape.final_id = rec.id;
         break;
       case trace::RecordKind::Level0:
         level0.add(rec.var, rec.value, rec.antecedent);
-        mem.add(16);
+        ++shape.trail_records;
         break;
       case trace::RecordKind::Assumption:
         level0.add_assumption(rec.var, rec.value);
-        mem.add(16);
+        ++shape.trail_records;
         break;
       case trace::RecordKind::End:
         ended = true;
         break;
     }
+    ++index;
   }
-  if (!ended) {
-    throw CheckFailure("trace truncated: missing end record");
-  }
-  return final_id;
+  if (!ended) throw CheckFailure("trace truncated: missing end record");
+  shape.end_pos = seekable ? reader.tell() : index;
+  return shape;
+}
+
+void throw_failed_step(ClauseId id, ClauseId source, std::size_t step,
+                       ResolveStatus status) {
+  throw CheckFailure("derivation of clause " + std::to_string(id) +
+                     ": resolving with source " + std::to_string(source) +
+                     " (step " + std::to_string(step) + ") failed: " +
+                     (status == ResolveStatus::NoClash
+                          ? "no clashing variable"
+                          : "more than one clashing variable"));
 }
 
 Level0Table::Level0Table(Var num_vars) : entries_(num_vars) {}

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -60,6 +61,11 @@ struct CheckResult {
   /// formula implies it, refuting that assumption subset). Empty for
   /// unconditional unsatisfiability proofs.
   std::vector<Lit> failed_assumption_clause;
+  /// One past the highest clause ID the trace numbers (its originals and
+  /// every derivation record, reachable or not): the first ID free for a
+  /// clause the trace itself does not contain, such as the proof DAG's
+  /// empty-clause root.
+  ClauseId next_free_id = 0;
 
   /// Convenience: true iff the check succeeded.
   explicit operator bool() const { return ok; }
@@ -159,75 +165,6 @@ class ClauseStore {
   return num_sources * sizeof(std::uint32_t) + 8;
 }
 
-/// The derivation DAG of a trace for the whole-trace depth-first checker:
-/// source lists packed into one pool, indexed by a flat
-/// ordinal-indexed table (ordinal = id - num_original). Records validate
-/// on insertion with the same diagnostics the checkers have always
-/// produced.
-///
-/// The pool stores source IDs narrowed to 32 bits: the pool itself is
-/// capped at 2^32 entries and every source precedes its consumer, so IDs
-/// beyond 2^32 would blow the cap anyway — the trace is rejected as too
-/// large first. Halving the per-source footprint matters because the
-/// loaded trace rivals the memoized clauses for the depth-first checker's
-/// peak (Section 3.2 reads the entire trace into main memory).
-class DerivationIndex {
- public:
-  explicit DerivationIndex(ClauseId num_original)
-      : num_original_(num_original) {}
-
-  /// Validates and stores one derivation record. Throws CheckFailure on an
-  /// original-ID reuse, fewer than two sources, a non-preceding source, or
-  /// a duplicate derivation.
-  void add(ClauseId id, std::span<const ClauseId> sources);
-
-  [[nodiscard]] bool contains(ClauseId id) const {
-    if (id < num_original_) return false;
-    const ClauseId ord = id - num_original_;
-    return ord < entries_.size() && entries_[ord].len != 0;
-  }
-
-  /// Source list of `id` (32-bit IDs; they widen losslessly to ClauseId).
-  /// Throws CheckFailure ("referenced but never derived") when absent.
-  /// Inline: the replay loop calls this once per derivation (plan, fold,
-  /// prefetch), so the lookup must reduce to two loads and a compare.
-  [[nodiscard]] std::span<const std::uint32_t> sources_of(ClauseId id) const {
-    if (!contains(id)) throw_never_derived(id);
-    const Entry& e = entries_[id - num_original_];
-    return {pool_.data() + e.begin, e.len};
-  }
-
-  /// Highest derived ID seen (0 when empty — check num_records() first).
-  [[nodiscard]] ClauseId max_id() const { return max_id_; }
-  [[nodiscard]] std::uint64_t num_records() const { return num_records_; }
-
- private:
-  struct Entry {
-    std::uint32_t begin = 0;  ///< offset into pool_
-    std::uint32_t len = 0;    ///< 0 = not derived (real records have >= 2)
-  };
-
-  [[noreturn]] static void throw_never_derived(ClauseId id);
-
-  ClauseId num_original_;
-  std::vector<std::uint32_t> pool_;
-  std::vector<Entry> entries_;  ///< by ordinal
-  ClauseId max_id_ = 0;
-  std::uint64_t num_records_ = 0;
-};
-
-/// Single-pass trace load for checkers that keep the whole DAG in memory
-/// (depth-first): fills `derivations` and `level0`, accounts the
-/// loaded bytes in `mem`, counts derivations in `stats`, and returns the
-/// final conflict ID (nullopt when the trace has none). Throws
-/// CheckFailure on any structural violation, including a missing end
-/// record.
-std::optional<ClauseId> load_full_trace(trace::TraceReader& reader,
-                                        DerivationIndex& derivations,
-                                        class Level0Table& level0,
-                                        util::MemTracker& mem,
-                                        CheckStats& stats);
-
 /// The final-trail assignment table reconstructed from the trace's Level0
 /// and Assumption records (Section 3.1, item 3; assumptions are the
 /// incremental-query extension). Implied variables carry an antecedent
@@ -288,6 +225,98 @@ class Level0Table {
   std::size_t num_assumed_ = 0;
 };
 
+/// What a structural scan of the whole trace learned (see scan_trace).
+struct TraceShape {
+  /// The final conflicting clause; nullopt when the trace claims no
+  /// unsatisfiability.
+  std::optional<ClauseId> final_id;
+  /// One past the last (= highest) derivation ID; num_original when the
+  /// trace derives nothing.
+  ClauseId next_free_id = 0;
+  /// Level0 plus Assumption records.
+  std::uint64_t trail_records = 0;
+  /// Position just past the end record, in the units of DerivationSink's
+  /// `pos`.
+  std::uint64_t end_pos = 0;
+};
+
+/// Called once per derivation record, after it passed the structural
+/// checks, with the record, its ordinal `index` among all the trace's
+/// records, and its position `pos`: the reader's tell() before the record
+/// when the reader is seekable, else `index`.
+using DerivationSink = std::function<void(
+    const trace::Record& rec, std::uint64_t index, std::uint64_t pos)>;
+
+/// The one structural pass over a trace, shared by every replay backend
+/// (TRACE_FORMAT.md's validity rules). Rewinds `reader` and reads it to
+/// the end record. Each derivation must carry a fresh ID (not an
+/// original's), strictly greater than the previous derivation's, at least
+/// two sources, every source preceding it, and an ID within 2^32; valid
+/// ones are counted in `stats.total_derivations` and handed to `sink`
+/// (which may be empty). Level0 and Assumption records fill `level0`.
+/// Throws CheckFailure on a violation, a second final conflict record, or
+/// a missing end record.
+TraceShape scan_trace(trace::TraceReader& reader, Level0Table& level0,
+                      CheckStats& stats, const DerivationSink& sink);
+
+/// Canonicalizes original clause `id` of `f` into `scratch` (sorted,
+/// duplicate-free; the buffer's capacity is reused across the many
+/// original fetches of a replay) and returns a view of it, valid until
+/// `scratch` changes. Throws CheckFailure on a tautological original,
+/// which cannot be a resolution source.
+inline ClauseView canonical_original(const Formula& f, ClauseId id,
+                                     SortedClause& scratch) {
+  const ClauseView raw = f.clause(id);
+  scratch.assign(raw.begin(), raw.end());
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  if (is_tautology(scratch)) {
+    throw CheckFailure("original clause " + std::to_string(id) +
+                       " is tautological and cannot be a resolution source");
+  }
+  return scratch;
+}
+
+/// Clause fetch of the streaming backends, which keep only live derived
+/// clauses: an original comes from canonical_original(); a derived clause
+/// must still be in `store`. The view is valid until the next fetch.
+inline ClauseView fetch_live_clause(const Formula& f, const ClauseStore& store,
+                                    ClauseId id, SortedClause& scratch) {
+  if (id < f.num_clauses()) return canonical_original(f, id, scratch);
+  if (!store.contains(id)) {
+    throw CheckFailure(
+        "clause " + std::to_string(id) +
+        " is not available: it was never derived, or its use count was "
+        "exhausted earlier than the trace implies");
+  }
+  return store.view(id);
+}
+
+/// Throws fold_derivation's diagnostic; out of line so the fold stays
+/// small enough to inline into the replay loops.
+[[noreturn]] void throw_failed_step(ClauseId id, ClauseId source,
+                                    std::size_t step, ResolveStatus status);
+
+/// Replays derivation `id`: left-folds resolution over `sources` (trace
+/// order) into `chain`, counting each step in `stats.resolutions`.
+/// `fetch` maps a source ID to its clause view; it is a template parameter
+/// so the replay hot loop inlines it. Throws CheckFailure naming the
+/// source and step of the first resolution without exactly one clashing
+/// variable.
+template <typename Sources, typename Fetch>
+inline void fold_derivation(ChainResolver& chain, ClauseId id,
+                            const Sources& sources, Fetch&& fetch,
+                            CheckStats& stats) {
+  chain.start(fetch(sources[0]));
+  for (std::size_t i = 1; i < sources.size(); ++i) {
+    const ResolveResult r = chain.step(fetch(sources[i]));
+    ++stats.resolutions;
+    if (r.status != ResolveStatus::Ok) {
+      throw_failed_step(id, sources[i], i, r.status);
+    }
+  }
+}
+
 /// Validates that `clause` really is the antecedent of `var` under the
 /// level-0 assignment: it contains the literal that makes `var` true, and
 /// every other literal is false and was assigned strictly earlier. This is
@@ -317,9 +346,11 @@ using ClauseFetcher = std::function<ClauseView(ClauseId)>;
 ///  - on_released() fires when a derived clause provably has no remaining
 ///    uses (window use-count exhaustion); it never precedes a later fetch,
 ///    nor the on_derived() of the chain whose decrements triggered it.
-///  - on_final() fires once, after the empty-clause (or assumption-clause)
-///    derivation succeeds, with the antecedents in the order they were
-///    resolved against the final conflicting clause.
+///  - on_final() fires once, after the final derivation succeeds, with
+///    the antecedents in the order they were resolved against the final
+///    conflicting clause and the resulting clause: empty for an
+///    unsatisfiability proof, else the assumption clause (which the
+///    checker validates after the call).
 class CertObserver {
  public:
   virtual ~CertObserver() = default;
@@ -333,10 +364,12 @@ class CertObserver {
   /// Derived clause `id` has no remaining uses in the replay.
   virtual void on_released(ClauseId id) = 0;
 
-  /// The final empty-clause derivation succeeded: the final conflicting
-  /// clause `final_id` was resolved against `antecedents` in order.
+  /// The final derivation succeeded: the final conflicting clause
+  /// `final_id` was resolved against `antecedents` in order, leaving
+  /// `clause` (sorted; empty unless the trace has assumptions).
   virtual void on_final(ClauseId final_id,
-                        std::span<const ClauseId> antecedents) = 0;
+                        std::span<const ClauseId> antecedents,
+                        std::span<const Lit> clause) = 0;
 };
 
 /// Derives the trace's final clause, exactly as in the proof of

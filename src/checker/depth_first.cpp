@@ -1,6 +1,7 @@
 #include "src/checker/depth_first.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "src/obs/trace.hpp"
@@ -8,6 +9,66 @@
 namespace satproof::checker {
 
 namespace {
+
+/// The derivation DAG of a trace, whole and resident: source lists packed
+/// into one pool, indexed by a flat ordinal-indexed table (ordinal = id -
+/// num_original). Records arrive already validated by scan_trace.
+///
+/// The pool stores source IDs narrowed to 32 bits (scan_trace bounds
+/// every ID by 2^32). Halving the per-source footprint matters because the
+/// loaded trace rivals the memoized clauses for the depth-first checker's
+/// peak (Section 3.2 reads the entire trace into main memory).
+class DerivationIndex {
+ public:
+  explicit DerivationIndex(ClauseId num_original)
+      : num_original_(num_original) {}
+
+  /// Stores one derivation record. Throws CheckFailure when the pool would
+  /// outgrow its 32-bit offsets.
+  void add(ClauseId id, std::span<const ClauseId> sources) {
+    if (pool_.size() + sources.size() >
+        std::numeric_limits<std::uint32_t>::max()) {
+      throw CheckFailure(
+          "trace too large: derivation source pool exceeds 2^32");
+    }
+    const ClauseId ord = id - num_original_;
+    if (ord >= entries_.size()) entries_.resize(ord + 1);
+    entries_[ord] = {static_cast<std::uint32_t>(pool_.size()),
+                     static_cast<std::uint32_t>(sources.size())};
+    for (const ClauseId s : sources) {
+      pool_.push_back(static_cast<std::uint32_t>(s));
+    }
+  }
+
+  /// Source list of `id` (32-bit IDs; they widen losslessly to ClauseId).
+  /// Throws CheckFailure ("referenced but never derived") when absent.
+  /// Inline: the replay loop calls this once per derivation (plan, fold,
+  /// prefetch), so the lookup must reduce to two loads and a compare.
+  [[nodiscard]] std::span<const std::uint32_t> sources_of(ClauseId id) const {
+    const ClauseId ord = id - num_original_;
+    if (id < num_original_ || ord >= entries_.size() ||
+        entries_[ord].len == 0) {
+      throw_never_derived(id);
+    }
+    const Entry& e = entries_[ord];
+    return {pool_.data() + e.begin, e.len};
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t begin = 0;  ///< offset into pool_
+    std::uint32_t len = 0;    ///< 0 = not derived (real records have >= 2)
+  };
+
+  [[noreturn]] static void throw_never_derived(ClauseId id) {
+    throw CheckFailure("clause " + std::to_string(id) +
+                       " is referenced but never derived in the trace");
+  }
+
+  ClauseId num_original_;
+  std::vector<std::uint32_t> pool_;
+  std::vector<Entry> entries_;  ///< by ordinal
+};
 
 class DepthFirstChecker {
  public:
@@ -23,8 +84,20 @@ class DepthFirstChecker {
     CheckResult result;
     try {
       check_header(*formula_, reader_->num_vars(), reader_->num_original());
-      final_id_ =
-          load_full_trace(*reader_, derivations_, level0_, mem_, stats_);
+      {
+        // Parsing and derivation-index construction share the one
+        // streaming scan, so one span covers both.
+        obs::Span span("parse");
+        const TraceShape shape = scan_trace(
+            *reader_, level0_, stats_,
+            [this](const trace::Record& rec, std::uint64_t, std::uint64_t) {
+              derivations_.add(rec.id, rec.sources);
+              mem_.add(derivation_record_bytes(rec.sources.size()));
+            });
+        mem_.add(shape.trail_records * 16);
+        final_id_ = shape.final_id;
+        result.next_free_id = shape.next_free_id;
+      }
       if (!final_id_.has_value()) {
         throw CheckFailure(
             "trace has no final conflicting clause; it does not claim "
@@ -34,13 +107,10 @@ class DepthFirstChecker {
       chain_.reserve_vars(reader_->num_vars());
       {
         obs::Span span("index");
-        store_.reserve(std::max<ClauseId>(num_original(),
-                                          derivations_.num_records() != 0
-                                              ? derivations_.max_id() + 1
-                                              : 0));
+        store_.reserve(result.next_free_id);
         if (options.streaming_replay) {
           planned_.assign(store_.id_limit(), 0);
-          plan_.reserve(derivations_.num_records());
+          plan_.reserve(stats_.total_derivations);
           plan_cone(*final_id_);
         }
       }
@@ -66,8 +136,8 @@ class DepthFirstChecker {
         remaining = derive_final_clause(
             *final_id_, fetch, level0_, stats_,
             observer_ != nullptr ? &final_antecedents : nullptr);
-        if (observer_ != nullptr && remaining.empty()) {
-          observer_->on_final(*final_id_, final_antecedents);
+        if (observer_ != nullptr) {
+          observer_->on_final(*final_id_, final_antecedents, remaining);
         }
       }
       planned_ = {};  // plan bookkeeping is dead weight past this point
@@ -244,38 +314,15 @@ class DepthFirstChecker {
   }
 
   ClauseView build_original(ClauseId id) {
-    // Canonicalize into a reused scratch buffer: thousands of originals
-    // would otherwise each pay a vector allocation.
-    const ClauseView raw = formula_->clause(id);
-    scratch_.assign(raw.begin(), raw.end());
-    std::sort(scratch_.begin(), scratch_.end());
-    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                   scratch_.end());
-    if (is_tautology(scratch_)) {
-      throw CheckFailure("original clause " + std::to_string(id) +
-                         " is tautological and cannot be a resolution source");
-    }
-    store_.put(id, scratch_);
+    store_.put(id, canonical_original(*formula_, id, scratch_));
     return store_.view(id);
   }
 
-  /// Replays one derivation: left-fold resolution over the sources, which
-  /// must all be stored by now.
+  /// Replays one derivation over sources that are all stored by now.
   void fold_sources(ClauseId id, std::span<const std::uint32_t> sources) {
-    chain_.start(store_.view(sources[0]));
-    for (std::size_t i = 1; i < sources.size(); ++i) {
-      const ResolveResult r = chain_.step(store_.view(sources[i]));
-      ++stats_.resolutions;
-      if (r.status != ResolveStatus::Ok) {
-        throw CheckFailure(
-            "derivation of clause " + std::to_string(id) + ": resolving with "
-            "source " + std::to_string(sources[i]) + " (step " +
-            std::to_string(i) + ") failed: " +
-            (r.status == ResolveStatus::NoClash
-                 ? "no clashing variable"
-                 : "more than one clashing variable"));
-      }
-    }
+    fold_derivation(
+        chain_, id, sources,
+        [this](ClauseId s) { return store_.view(s); }, stats_);
     // Copy the resolver's buffer straight into the arena, unsorted:
     // nothing downstream needs stored clauses ordered (resolution is
     // set-based and the failed-assumption clause is sorted where it is

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "src/checker/common.hpp"
-#include "src/checker/use_count.hpp"
 
 namespace satproof::checker {
 
@@ -19,9 +18,6 @@ struct WindowOptions {
   /// the memory contract of the paper's hybrid checker (the "hybrid"
   /// backend name selects this).
   std::size_t mem_limit_bytes = 256u << 20;
-
-  /// Use-count storage, as in the breadth-first checker.
-  UseCountMode use_counts = UseCountMode::InMemory;
 
   /// When non-null, clause storage borrows this arena instead of growing a
   /// private one (see DepthFirstOptions::recycle_arena).

@@ -62,9 +62,10 @@ class ProofError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Builds the proof DAG from a formula and its trace, validating every
-/// resolution step along the way (the same checks as the depth-first
-/// checker). Throws ProofError on an invalid trace.
+/// Builds the proof DAG from a formula and its trace by running the
+/// depth-first checker and recording its replay, so every step is
+/// validated exactly as `satproof check` validates it. Throws ProofError
+/// carrying the checker's diagnostic on an invalid trace.
 [[nodiscard]] ProofDag extract_proof(const Formula& f,
                                      trace::TraceReader& reader);
 

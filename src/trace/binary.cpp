@@ -29,9 +29,7 @@ constexpr int kMaxVarintBytes = 10;
 }  // namespace
 
 void BinaryTraceWriter::begin(Var num_vars, ClauseId num_original) {
-  buf_.clear();
-  buf_.insert(buf_.end(), kMagic, kMagic + sizeof kMagic);
-  buf_.push_back(kVersion);
+  buf_.assign({kMagic[0], kMagic[1], kMagic[2], kMagic[3], kVersion});
   util::append_varint(buf_, num_vars);
   util::append_varint(buf_, num_original);
   flush_buf();

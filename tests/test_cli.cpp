@@ -407,6 +407,27 @@ TEST_F(CliTest, TrimCommandRoundTrip) {
   EXPECT_EQ(c.exit_code, 0) << c.err;
 }
 
+TEST_F(CliTest, TrimKeepsBinaryFormat) {
+  gen_php(6);
+  const CliRun s = run({"solve", cnf(), "--trace", aux(), "--binary"});
+  ASSERT_EQ(s.exit_code, kExitUnsat);
+  // The input is found to be binary by its magic; there is no --binary.
+  const CliRun t = run({"trim", aux(), aux2()});
+  ASSERT_EQ(t.exit_code, 0) << t.err;
+  EXPECT_NE(t.out.find("trimmed"), std::string::npos);
+  std::ifstream trimmed(aux2_.path(), std::ios::binary);
+  char magic[4] = {};
+  trimmed.read(magic, sizeof magic);
+  EXPECT_EQ(std::string(magic, sizeof magic), "SPRF");
+  const CliRun c = run({"check", cnf(), aux2()});
+  EXPECT_EQ(c.exit_code, 0) << c.err;
+  const CliRun flag = run({"trim", aux(), aux2(), "--binary"});
+  EXPECT_EQ(flag.exit_code, kExitError);
+  EXPECT_NE(flag.err.find("unexpected argument '--binary'"),
+            std::string::npos)
+      << flag.err;
+}
+
 TEST_F(CliTest, DrupEmitAndCheckRoundTrip) {
   gen_php(5);
   const CliRun s = run({"solve", cnf(), "--drup", aux()});
@@ -453,6 +474,23 @@ TEST_F(CliTest, UnexpectedArgumentRejected) {
   const CliRun r = run({"solve", cnf(), "bogus-extra"});
   EXPECT_EQ(r.exit_code, kExitError);
   EXPECT_NE(r.err.find("unexpected argument"), std::string::npos);
+}
+
+TEST_F(CliTest, MisplacedFlagIsNamed) {
+  gen_php(4);
+  const CliRun s = run({"solve", cnf(), "--trace", aux()});
+  ASSERT_EQ(s.exit_code, kExitUnsat);
+  // An unknown flag is named whether it comes before the positionals or
+  // after them; it is never mistaken for a file name.
+  for (const auto& args : {std::vector<std::string>{"check", "--foo", cnf(),
+                                                    aux()},
+                           std::vector<std::string>{"check", cnf(), aux(),
+                                                    "--foo"}}) {
+    const CliRun r = run(args);
+    EXPECT_EQ(r.exit_code, kExitError);
+    EXPECT_NE(r.err.find("unexpected argument '--foo'"), std::string::npos)
+        << r.err;
+  }
 }
 
 TEST_F(CliTest, BwGenReportsOptimal) {

@@ -39,11 +39,9 @@ SolvedUnsat solve_unsat(Formula f) {
 constexpr std::size_t kBudgets[] = {0, 64u << 10};
 
 CheckResult check_at(const Formula& f, const trace::MemoryTrace& t,
-                     std::size_t budget,
-                     UseCountMode counts = UseCountMode::InMemory) {
+                     std::size_t budget) {
   WindowOptions opts;
   opts.mem_limit_bytes = budget;
-  opts.use_counts = counts;
   trace::MemoryTraceReader r(t);
   return check_window(f, r, opts);
 }
@@ -101,15 +99,6 @@ TEST(Hybrid, AgreesWithBreadthFirstOnResults) {
     // Window replay performs a subset of breadth-first's work.
     EXPECT_LE(wn.stats.resolutions, bf.stats.resolutions);
     EXPECT_LE(wn.stats.clauses_built, bf.stats.clauses_built);
-  }
-}
-
-TEST(Hybrid, FileBackedCountsWork) {
-  const SolvedUnsat su = solve_unsat(encode::pigeonhole(5));
-  for (const std::size_t budget : kBudgets) {
-    const CheckResult wn = check_at(su.formula, su.trace, budget,
-                                    UseCountMode::FileBacked);
-    EXPECT_TRUE(wn.ok) << budget << ": " << wn.error;
   }
 }
 

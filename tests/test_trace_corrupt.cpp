@@ -13,7 +13,10 @@
 #include "src/checker/drup.hpp"
 #include "src/checker/window.hpp"
 #include "src/encode/pigeonhole.hpp"
+#include "src/proof/proof_dag.hpp"
+#include "src/proof/rup.hpp"
 #include "src/solver/solver.hpp"
+#include "src/trace/ascii.hpp"
 #include "src/trace/drup.hpp"
 #include "src/trace/fault_injector.hpp"
 #include "src/trace/memory.hpp"
@@ -188,6 +191,37 @@ TEST(CorruptTrace, ReorderedLevel0TrailRejected) {
   ASSERT_GE(t.level0.size(), 2u);
   std::reverse(t.level0.begin(), t.level0.end());
   expect_all_reject(f, t, "reversed level-0 trail");
+}
+
+TEST(CorruptTrace, NonIncreasingDerivationIdsRejectedByEveryBackend) {
+  // A valid refutation of the four 2-clauses over x1, x2, except that
+  // clause 6 is derived before clause 5: TRACE_FORMAT.md rule 2 requires
+  // strictly increasing derivation IDs of every checker.
+  Formula f(2);
+  f.add_clause({Lit::pos(0), Lit::pos(1)});
+  f.add_clause({Lit::pos(0), Lit::neg(1)});
+  f.add_clause({Lit::neg(0), Lit::pos(1)});
+  f.add_clause({Lit::neg(0), Lit::neg(1)});
+  std::istringstream in("p trace 2 4\nd 6 1 2 0\nd 5 3 4 0\nf 5\nl 1 6\ne\n");
+  trace::AsciiTraceReader r(in);  // every backend rewinds it first
+  const std::string expected =
+      "derivation IDs must be strictly increasing (clause 5 after 6)";
+  std::vector<BackendRun> runs;
+  runs.push_back({"depth-first", check_depth_first(f, r)});
+  runs.push_back({"breadth-first", check_breadth_first(f, r)});
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{64} << 10}) {
+    WindowOptions opts;
+    opts.mem_limit_bytes = budget;
+    runs.push_back({"window", check_window(f, r, opts)});
+  }
+  for (const BackendRun& run : runs) {
+    EXPECT_FALSE(run.result.ok) << run.name << " accepted non-increasing IDs";
+    EXPECT_EQ(run.result.error, expected) << run.name;
+  }
+  const DrupCheckResult rup = proof::check_trace_rup(f, r);
+  EXPECT_FALSE(rup.ok) << "rup accepted non-increasing IDs";
+  EXPECT_EQ(rup.error, expected);
+  EXPECT_THROW((void)proof::extract_proof(f, r), proof::ProofError);
 }
 
 // ----------------------------------------------------- DRUP proof corpus

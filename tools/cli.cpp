@@ -163,9 +163,10 @@ usage:
       both defining properties with the solver and optionally writes the
       interpolant circuit as graphviz
 
-  satproof trim <trace-in> <trace-out> [--binary]
+  satproof trim <trace-in> <trace-out>
       drop trace derivations unreachable from the final conflict; the
-      trimmed trace checks against the same formula
+      trimmed trace checks against the same formula and keeps the input's
+      format (ASCII or binary, found by its magic)
 
   satproof gen <family> <params...> -o FILE    generate a benchmark CNF
       php H                     pigeonhole, H holes
@@ -276,8 +277,11 @@ class Args {
 
   [[nodiscard]] bool empty() const { return pos_ >= args_.size(); }
 
+  /// Takes the next positional. Options are taken before positionals, so
+  /// a `--` token left here is one no option of the command matched.
   std::string next(const char* what) {
     if (empty()) throw CliError(std::string("missing ") + what);
+    if (args_[pos_].starts_with("--")) expect_done();
     return args_[pos_++];
   }
 
@@ -327,12 +331,6 @@ class Args {
 void write_formula_file(const std::string& path, const Formula& f,
                         const std::string& comment) {
   dimacs::write_file(path, f, comment);
-}
-
-std::unique_ptr<trace::TraceReader> open_trace_reader(std::ifstream& in,
-                                                      bool binary) {
-  if (binary) return std::make_unique<trace::BinaryTraceReader>(in);
-  return std::make_unique<trace::AsciiTraceReader>(in);
 }
 
 // ----------------------------------------------------------------- solve
@@ -1078,16 +1076,15 @@ int cmd_interpolate(Args args, std::ostream& out, std::ostream& err) {
 // ------------------------------------------------------------------ trim
 
 int cmd_trim(Args args, std::ostream& out, std::ostream&) {
-  const bool binary = args.take_flag("--binary");
   const std::string in_path = args.next("input trace");
   const std::string out_path = args.next("output trace");
   args.expect_done();
 
-  std::ifstream in(in_path,
-                   binary ? std::ios::in | std::ios::binary : std::ios::in);
-  if (!in) throw CliError("cannot open trace file " + in_path);
-  const auto reader = open_trace_reader(in, binary);
-
+  // The output keeps the input's format, which is found by its magic.
+  const bool binary = trace::is_binary_trace(in_path);
+  std::ifstream ascii_in;
+  const std::unique_ptr<trace::TraceReader> reader =
+      service::open_trace_file(in_path, ascii_in);
   std::ofstream out_file(out_path, binary ? std::ios::out | std::ios::binary
                                           : std::ios::out);
   if (!out_file) throw CliError("cannot open output file " + out_path);
